@@ -114,14 +114,14 @@ int main() {
   {
     // Show the growth of the next wait explicitly (Figure 4's right-hand
     // panels).
-    ExecutionGraph g = small;
-    const Duration benefit = remove_synchronization(g, 2);
+    Replay replay(small);
+    const Duration benefit = replay.remove_synchronization(2);
     std::printf("\nCase B after RemoveSyncronization(CWait0):\n");
     std::printf("  benefit realized:          %s of %s removed\n",
                 format_seconds(benefit).c_str(), format_seconds(W).c_str());
     std::printf("  next wait grew: %s -> %s\n",
                 format_seconds(ms(10)).c_str(),
-                format_seconds(g.nodes()[5].duration).c_str());
+                format_seconds(replay.duration(5)).c_str());
   }
 
   std::printf(

@@ -4,6 +4,7 @@
 // keys, JSON round-trips, and the expected-benefit pass on large graphs.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "core/benefit.h"
@@ -142,29 +143,59 @@ void BM_JsonRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_JsonRoundTrip);
 
-void BM_ExpectedBenefit(benchmark::State& state) {
+// A random chain of `nodes` CPU nodes with exactly `problems` unnecessary
+// waits spread evenly over it (the 1M-event synthetic run has ~2M nodes
+// and 64 problems).
+ffm::ExecutionGraph benefit_graph(std::size_t nodes, std::size_t problems) {
   Rng rng(7);
-  std::vector<ffm::Node> nodes;
-  const auto n = static_cast<std::size_t>(state.range(0));
-  for (std::size_t i = 0; i < n; ++i) {
-    ffm::Node node;
+  std::vector<ffm::Node> chain(nodes);
+  const std::size_t stride = nodes / std::max<std::size_t>(problems, 1);
+  for (std::size_t i = 0; i < nodes; ++i) {
+    ffm::Node& node = chain[i];
     const auto roll = rng.next_below(3);
     node.type = roll == 0   ? ffm::NType::kCWork
                 : roll == 1 ? ffm::NType::kCLaunch
                             : ffm::NType::kCWait;
     node.duration = us(rng.next_in(1, 1000));
-    if (node.type == ffm::NType::kCWait && rng.next_bool(0.4)) {
+    if (i % stride == stride / 2 && i / stride < problems) {
+      node.type = ffm::NType::kCWait;
       node.problem = ffm::ProblemType::kUnnecessarySync;
     }
-    nodes.push_back(node);
   }
-  const ffm::ExecutionGraph g(std::move(nodes), secs(1.0));
+  return ffm::ExecutionGraph(std::move(chain), secs(1.0));
+}
+
+// Replay cost is O(problems): the node count should barely move it.
+void BM_ExpectedBenefit(benchmark::State& state) {
+  const ffm::ExecutionGraph g =
+      benefit_graph(static_cast<std::size_t>(state.range(0)),
+                    static_cast<std::size_t>(state.range(1)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(ffm::expected_benefit(g));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
+                          state.range(1));
 }
-BENCHMARK(BM_ExpectedBenefit)->Arg(1000)->Arg(10000);
+BENCHMARK(BM_ExpectedBenefit)
+    ->Args({1000, 130})
+    ->Args({10000, 1300})
+    ->Args({1000000, 64});
+
+// A sequence-group estimate: every other problem of the 1M-node graph.
+void BM_ExpectedBenefitSubset(benchmark::State& state) {
+  const ffm::ExecutionGraph g =
+      benefit_graph(static_cast<std::size_t>(state.range(0)),
+                    static_cast<std::size_t>(state.range(1)));
+  std::vector<std::size_t> subset;
+  for (std::size_t k = 0; k < g.problematic_indices().size(); k += 2) {
+    subset.push_back(g.problematic_indices()[k]);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ffm::expected_benefit_subset(g, subset));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(subset.size()));
+}
+BENCHMARK(BM_ExpectedBenefitSubset)->Args({1000000, 64});
 
 }  // namespace

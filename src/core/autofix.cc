@@ -35,11 +35,11 @@ json::Value FixRecommendation::to_json() const {
 
 namespace {
 
-std::string site_description(const Node& n) {
+std::string site_description(const ExecutionGraph& g, const Node& n) {
   std::string api = n.api != hooks::Fn::kCount_
                         ? std::string(hooks::fn_name(n.api))
                         : std::string("(unknown)");
-  const trace::Frame* leaf = n.stack.leaf();
+  const trace::Frame* leaf = g.leaf(n);
   if (leaf == nullptr) return api;
   return api + " in " + leaf->file + " at line " + std::to_string(leaf->line);
 }
@@ -64,14 +64,14 @@ std::vector<FixRecommendation> recommend_fixes(const AnalysisResult& r,
   // Count dynamic occurrences per exact site to recognize loop patterns.
   std::map<std::string, std::size_t> site_occurrences;
   for (const NodeBenefit& nb : report.per_node) {
-    ++site_occurrences[site_description(nodes[nb.node])];
+    ++site_occurrences[site_description(r.graph, nodes[nb.node])];
   }
 
   std::map<RemedyKind, Accum> accum;
   auto add = [&](RemedyKind remedy, const Node& n, Duration benefit) {
     Accum& a = accum[remedy];
     a.remedy = remedy;
-    const std::string site = site_description(n);
+    const std::string site = site_description(r.graph, n);
     if (a.sites.insert(site).second &&
         site_occurrences[site] >= opts.loop_threshold) {
       ++a.loop_like_sites;
@@ -84,7 +84,7 @@ std::vector<FixRecommendation> recommend_fixes(const AnalysisResult& r,
     const Node& n = nodes[nb.node];
     switch (n.problem) {
       case ProblemType::kUnnecessaryTransfer: {
-        const std::string site = site_description(n);
+        const std::string site = site_description(r.graph, n);
         if (site_occurrences[site] >= opts.loop_threshold) {
           add(RemedyKind::kCacheTransfer, n, nb.benefit);
         }
@@ -96,8 +96,8 @@ std::vector<FixRecommendation> recommend_fixes(const AnalysisResult& r,
                              n.api == Fn::kPrivMemFree;
         const bool is_managed_memset =
             (n.api == Fn::kCudaMemset || n.api == Fn::kCudaMemsetAsync);
-        if (is_free &&
-            site_occurrences[site_description(n)] >= opts.loop_threshold) {
+        if (is_free && site_occurrences[site_description(r.graph, n)] >=
+                           opts.loop_threshold) {
           add(RemedyKind::kHoistAllocFree, n, nb.benefit);
         } else if (is_managed_memset) {
           add(RemedyKind::kHostMemset, n, nb.benefit);

@@ -51,17 +51,50 @@ struct BenefitReport {
   [[nodiscard]] Duration benefit_of(std::size_t node_index) const;
 };
 
-// The individual transforms, mutating the graph as Figure 5 does. Each
-// returns the node's estimated benefit. Exposed for unit tests and the
-// figure benches.
-Duration remove_synchronization(ExecutionGraph& g, std::size_t i);
-Duration move_synchronization(ExecutionGraph& g, std::size_t i,
-                              const BenefitOptions& opts);
-Duration remove_memory_transfer(ExecutionGraph& g, std::size_t i);
+// One Figure-5 evaluation over an immutable graph. The pseudocode
+// mutates edge durations as it goes; a Replay instead overlays the few
+// durations a transform touches — the current target's new duration and
+// the overflow the next synchronization absorbed — and reads every other
+// duration from the graph. That is exact because targets are visited in
+// ascending graph order (repeats allowed): every node a transform has
+// rewritten then lies at or before the current target, except the CWait
+// that absorbed overflow, and work_between never sums a CWait. So one
+// evaluation costs O(targets), whatever the graph's size.
+//
+// Each transform returns the node's estimated benefit and throws
+// diog::Error when a target precedes the previous one. The graph must
+// outlive the replay.
+class Replay {
+ public:
+  explicit Replay(const ExecutionGraph& g) : g_(g) {}
+  explicit Replay(const ExecutionGraph&&) = delete;
 
-// ExpectedBenefit over every problematic node, in graph order. The graph
-// is taken by value: evaluation mutates edge durations.
-BenefitReport expected_benefit(ExecutionGraph g,
+  // RemoveSyncronization (Figure 5 lines 15-22).
+  Duration remove_synchronization(std::size_t i);
+  // MoveSynchronization (lines 24-27).
+  Duration move_synchronization(std::size_t i, const BenefitOptions& opts);
+  // RemoveMemoryTransfer (lines 29-32).
+  Duration remove_memory_transfer(std::size_t i);
+
+  // Node i's duration as the evaluation currently sees it. Exact for
+  // every node at or after the latest target — the only ones a later
+  // transform reads.
+  [[nodiscard]] Duration duration(std::size_t i) const;
+
+ private:
+  void check_target(std::size_t i);
+  void set(std::size_t i, Duration d);
+
+  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  const ExecutionGraph& g_;
+  std::size_t touched_ = kNone;  // the latest target and its new duration
+  Duration touched_duration_{0};
+  std::size_t absorber_ = kNone;  // the CWait holding pending overflow
+  Duration absorbed_{0};
+};
+
+// ExpectedBenefit over every problematic node, in graph order.
+BenefitReport expected_benefit(const ExecutionGraph& g,
                                const BenefitOptions& opts = {});
 
 // ExpectedBenefit restricted to a subset of problematic node indices
@@ -69,7 +102,7 @@ BenefitReport expected_benefit(ExecutionGraph g,
 // left unfixed. This powers group, sequence and subsequence estimates —
 // including the paper's "evaluate a subsequence without additional data
 // collection".
-BenefitReport expected_benefit_subset(ExecutionGraph g,
+BenefitReport expected_benefit_subset(const ExecutionGraph& g,
                                       std::span<const std::size_t> nodes,
                                       const BenefitOptions& opts = {});
 

@@ -11,7 +11,6 @@
 #include "core/stage4_syncuse.h"
 #include "eventstore/run_io.h"
 #include "obs/span.h"
-#include "parallel/thread_pool.h"
 #include "obs/telemetry.h"
 #include "support/error.h"
 
@@ -56,14 +55,20 @@ AnalysisResult run_analysis(const evstore::TraceRun& run,
   AnalysisResult r;
   r.workload_name = run.meta.workload;
   r.run = run;
-  // Legacy per-stage views, materialized from the store in append order
-  // (byte-stable regardless of whether the run came from memory or
-  // disk).
-  r.s1 = stage1_view(run);
-  r.s2 = stage2_view(run);
-  r.s3 = stage3_view(run);
-  r.s4 = stage4_view(run);
+  {
+    // Legacy per-stage views, materialized from the store in append
+    // order (byte-stable regardless of whether the run came from memory
+    // or disk).
+    DIOG_SPAN("stage5.views");
+    r.s1 = stage1_view(run);
+    r.s2 = stage2_view(run);
+    r.s3 = stage3_view(run);
+    r.s4 = stage4_view(run);
+  }
 
+  // Stage 5 is serial: the graph is immutable and every benefit pass is
+  // a sparse replay over it (benefit.h), so the grouping families cost
+  // O(problems) each.
   {
     DIOG_SPAN("stage5.build_graph");
     r.graph = build_graph(run, cfg.misplaced_threshold);
@@ -73,20 +78,16 @@ AnalysisResult run_analysis(const evstore::TraceRun& run,
     r.benefit = expected_benefit(r.graph);
   }
   {
-    DIOG_SPAN("stage5.groupings");
-    // The three grouping families are independent reads of the graph
-    // (each replays benefits on its own copy), so they fan out across
-    // the pool; sequence_groups' own parallel pass nests inline on a
-    // worker. Each result has a deterministic internal order, so the
-    // report is identical at any thread count.
-    par::parallel_for(3, [&](std::size_t task) {
-      switch (task) {
-        case 0: r.single_points = single_point_groups(r.graph); break;
-        case 1: r.folds = folded_api_groups(r.graph); break;
-        case 2: r.sequences = sequence_groups(r.graph); break;
-        default: break;
-      }
-    });
+    DIOG_SPAN("stage5.single_point");
+    r.single_points = single_point_groups(r.graph);
+  }
+  {
+    DIOG_SPAN("stage5.folds");
+    r.folds = folded_api_groups(r.graph);
+  }
+  {
+    DIOG_SPAN("stage5.sequences");
+    r.sequences = sequence_groups(r.graph);
   }
 
   if (obs::Telemetry::enabled()) {

@@ -19,32 +19,46 @@ std::string_view to_string(NType t) {
   return "?";
 }
 
+ExecutionGraph::ExecutionGraph(std::vector<Node> nodes, Duration exec_time,
+                               std::shared_ptr<const evstore::EventStore> store)
+    : nodes_(std::move(nodes)),
+      exec_time_(exec_time),
+      store_(std::move(store)) {
+  const std::size_t n = nodes_.size();
+  next_sync_.resize(n);
+  std::size_t next = n;
+  for (std::size_t i = n; i-- > 0;) {
+    next_sync_[i] = next;
+    if (nodes_[i].is_sync_node()) next = i;
+  }
+  work_prefix_.resize(n + 1);
+  Duration work{0};
+  for (std::size_t i = 0; i < n; ++i) {
+    work_prefix_[i] = work;
+    const Node& node = nodes_[i];
+    if (!node.is_sync_node()) work += node.duration;
+    if (node.is_problematic()) problems_.push_back(i);
+  }
+  work_prefix_[n] = work;
+}
+
 std::optional<std::size_t> ExecutionGraph::next_sync_after(
     std::size_t i) const {
-  for (std::size_t j = i + 1; j < nodes_.size(); ++j) {
-    if (nodes_[j].is_sync_node()) return j;
+  if (i >= nodes_.size() || next_sync_[i] == nodes_.size()) {
+    return std::nullopt;
   }
-  return std::nullopt;
+  return next_sync_[i];
 }
 
 Duration ExecutionGraph::work_between(std::size_t a, std::size_t b) const {
   DIOG_CHECK(a <= b && b <= nodes_.size(), "bad work_between range");
-  Duration sum{0};
-  for (std::size_t j = a + 1; j < b; ++j) {
-    const Node& n = nodes_[j];
-    if (n.type == NType::kCWork || n.type == NType::kCLaunch) {
-      sum += n.duration;
-    }
-  }
-  return sum;
+  if (b <= a + 1) return Duration{0};
+  return work_prefix_[b] - work_prefix_[a + 1];
 }
 
-std::vector<std::size_t> ExecutionGraph::problematic_indices() const {
-  std::vector<std::size_t> out;
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    if (nodes_[i].is_problematic()) out.push_back(i);
-  }
-  return out;
+const trace::Frame* ExecutionGraph::leaf(const Node& n) const {
+  if (store_ == nullptr || n.stack == evstore::kEmptyStack) return nullptr;
+  return store_->stacks().leaf(n.stack);
 }
 
 Duration ExecutionGraph::total_duration() const {
@@ -100,63 +114,65 @@ ExecutionGraph build_graph(const evstore::TraceRun& run,
   TimePoint cursor{0};
 
   ev::Cursor op_cursor = ev::ops(store);
-  ev::Event op_event;
-  while (op_cursor.next(op_event)) {
-    const OpRecord op = op_from_event(store, op_event);
+  ev::Event op;
+  while (op_cursor.next(op)) {
+    const TimePoint t_enter{op.t_start};
+    const TimePoint t_exit{op.t_end};
+    const bool performed_transfer = op.has(ev::flag::kPerformedTransfer);
     // Gap since the previous traced call: pure CPU work (subsumes
     // untraced calls).
-    if (op.t_enter > cursor) {
+    if (t_enter > cursor) {
       Node w;
       w.type = NType::kCWork;
       w.stime = cursor;
-      w.duration = op.t_enter - cursor;
-      nodes.push_back(std::move(w));
+      w.duration = t_enter - cursor;
+      nodes.push_back(w);
     }
 
-    const Duration call = op.t_exit - op.t_enter;
-    Duration wait = op.sync_wait <= call ? op.sync_wait : call;
+    const Duration call = t_exit - t_enter;
+    const Duration sync_wait{op.aux_time};
+    const Duration gpu_op{op.gpu_time};
+    Duration wait = sync_wait <= call ? sync_wait : call;
     // Paper §3.5.1: "The CLaunch event performs setup and initiates the
     // transfer while the GWait event waits for the transfer to
     // complete." For a blocking transfer, the tail of the measured wait
     // is the transfer itself — it belongs to the CLaunch side (it is
     // what RemoveMemoryTransfer recovers); only the drain of *prior*
     // stream work is CWait.
-    if (op.performed_transfer && op.gpu_op_duration > Duration{0}) {
-      wait -= std::min(wait, op.gpu_op_duration);
+    if (performed_transfer && gpu_op > Duration{0}) {
+      wait -= std::min(wait, gpu_op);
     }
     const Duration launch_part = call - wait;
 
+    Node provenance;
+    provenance.op_index = static_cast<std::int64_t>(op.op_index);
+    provenance.api = op.fn();
+    provenance.stack = op.stack;
+    provenance.bytes = op.bytes;
+
     // The non-blocked portion: setup + submission (CLaunch).
-    if (launch_part > Duration{0} || op.performed_transfer) {
-      Node l;
+    if (launch_part > Duration{0} || performed_transfer) {
+      Node l = provenance;
       l.type = NType::kCLaunch;
-      l.stime = op.t_enter;
+      l.stime = t_enter;
       l.duration = launch_part;
-      l.op_index = static_cast<std::int64_t>(op.index);
-      l.api = op.api;
-      l.stack = op.stack;
-      l.bytes = op.bytes;
-      if (dup.contains(op.index)) {
+      if (dup.contains(op.op_index)) {
         l.problem = ProblemType::kUnnecessaryTransfer;
       }
-      nodes.push_back(std::move(l));
+      nodes.push_back(l);
     }
 
     // The blocked portion (CWait) for synchronizing calls.
-    if (op.performed_sync) {
-      Node s;
+    if (op.has(ev::flag::kPerformedSync)) {
+      Node s = provenance;
       s.type = NType::kCWait;
-      s.stime = op.t_enter + launch_part;
+      s.stime = t_enter + launch_part;
       s.duration = wait;
-      s.op_index = static_cast<std::int64_t>(op.index);
-      s.api = op.api;
-      s.stack = op.stack;
-      s.bytes = op.bytes;
-      const auto cls = sync_required.find(op.index);
+      const auto cls = sync_required.find(op.op_index);
       if (cls != sync_required.end() && !cls->second) {
         s.problem = ProblemType::kUnnecessarySync;
       } else {
-        const auto fu = first_use.find(op.index);
+        const auto fu = first_use.find(op.op_index);
         if (fu != first_use.end()) {
           s.first_use_time = fu->second;
           if (fu->second > misplaced_threshold) {
@@ -164,10 +180,10 @@ ExecutionGraph build_graph(const evstore::TraceRun& run,
           }
         }
       }
-      nodes.push_back(std::move(s));
+      nodes.push_back(s);
     }
 
-    cursor = op.t_exit;
+    cursor = t_exit;
   }
 
   // Trailing CPU work after the last traced call.
@@ -176,7 +192,7 @@ ExecutionGraph build_graph(const evstore::TraceRun& run,
     w.type = NType::kCWork;
     w.stime = cursor;
     w.duration = exec_time - cursor;
-    nodes.push_back(std::move(w));
+    nodes.push_back(w);
   }
 
   // Terminal join with the device at program exit.
@@ -184,9 +200,9 @@ ExecutionGraph build_graph(const evstore::TraceRun& run,
   exit_node.type = NType::kCWait;
   exit_node.stime = exec_time;
   exit_node.duration = Duration{0};
-  nodes.push_back(std::move(exit_node));
+  nodes.push_back(exit_node);
 
-  return ExecutionGraph(std::move(nodes), exec_time);
+  return ExecutionGraph(std::move(nodes), exec_time, run.store);
 }
 
 ExecutionGraph build_graph(const Stage2Result& s2, const Stage3Result& s3,

@@ -21,7 +21,9 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "core/model.h"
@@ -34,31 +36,38 @@ std::string_view to_string(NType t);
 
 struct Node {
   NType type = NType::kCWork;
+  ProblemType problem = ProblemType::kNone;
+  // Provenance (absent for synthesized CWork / terminal nodes). `stack`
+  // is the run store's interned id; ExecutionGraph::leaf resolves it.
+  hooks::Fn api = hooks::Fn::kCount_;
+  evstore::StackId stack = evstore::kEmptyStack;
+  std::int64_t op_index = -1;
+  std::uint64_t bytes = 0;
+
   TimePoint stime{0};
   Duration duration{0};  // the out-CPU-edge label
-  ProblemType problem = ProblemType::kNone;
   Duration first_use_time{0};
-
-  // Provenance (absent for synthesized CWork / terminal nodes).
-  std::int64_t op_index = -1;
-  hooks::Fn api = hooks::Fn::kCount_;
-  trace::StackTrace stack;
-  std::uint64_t bytes = 0;
 
   [[nodiscard]] bool is_sync_node() const { return type == NType::kCWait; }
   [[nodiscard]] bool is_problematic() const {
     return problem != ProblemType::kNone;
   }
 };
+static_assert(std::is_trivially_copyable_v<Node>);
 
+// Immutable once built. Construction precomputes what Figure 5 asks of
+// the chain — the problem list, each node's next synchronization and a
+// prefix sum of CWork + CLaunch durations — so the queries below are
+// O(1) and a replay (benefit.h) never needs a copy of the nodes.
 class ExecutionGraph {
  public:
   ExecutionGraph() = default;
-  explicit ExecutionGraph(std::vector<Node> nodes, Duration exec_time)
-      : nodes_(std::move(nodes)), exec_time_(exec_time) {}
+  // `store` resolves the nodes' stack ids; it may be null when no node
+  // carries one.
+  ExecutionGraph(std::vector<Node> nodes, Duration exec_time,
+                 std::shared_ptr<const evstore::EventStore> store = nullptr);
 
   [[nodiscard]] const std::vector<Node>& nodes() const { return nodes_; }
-  [[nodiscard]] std::vector<Node>& nodes() { return nodes_; }
   [[nodiscard]] std::size_t size() const { return nodes_.size(); }
   [[nodiscard]] Duration exec_time() const { return exec_time_; }
 
@@ -72,16 +81,26 @@ class ExecutionGraph {
   // upper bound on how much GPU idle time can contract.
   [[nodiscard]] Duration work_between(std::size_t a, std::size_t b) const;
 
-  [[nodiscard]] std::vector<std::size_t> problematic_indices() const;
+  // Indices of the problematic nodes, ascending.
+  [[nodiscard]] const std::vector<std::size_t>& problematic_indices() const {
+    return problems_;
+  }
 
   // Sum of all node durations (== exec time when built from a trace).
   [[nodiscard]] Duration total_duration() const;
+
+  // The innermost frame of `n`'s stack, or nullptr when it has none.
+  [[nodiscard]] const trace::Frame* leaf(const Node& n) const;
 
   [[nodiscard]] json::Value to_json() const;
 
  private:
   std::vector<Node> nodes_;
+  std::vector<std::size_t> problems_;
+  std::vector<std::size_t> next_sync_;  // size() when no CWait follows
+  std::vector<Duration> work_prefix_;   // work before index i; size() + 1
   Duration exec_time_{0};
+  std::shared_ptr<const evstore::EventStore> store_;
 };
 
 // Assemble the graph from a run. kOp events provide timing and node

@@ -1,10 +1,9 @@
 #include "core/groupings.h"
 
 #include <algorithm>
+#include <compare>
 #include <map>
-#include <unordered_map>
 
-#include "parallel/thread_pool.h"
 #include "support/error.h"
 #include "support/strings.h"
 
@@ -21,26 +20,24 @@ bool is_conditionally_unnecessary(const Node& n) {
 }
 
 // Benefit-descending with a deterministic tie-break on the member node
-// indices (graph append order). Grouping maps are keyed on
-// StackTrace::exact_key(), which mixes frame POINTERS — map iteration
-// order therefore varies run to run, and ties must not inherit it:
-// a saved-and-reopened run has to produce byte-identical reports.
+// indices (graph append order), so the order never depends on how a
+// grouping map happens to key its sites.
 bool group_order(const Group& a, const Group& b) {
   if (a.benefit != b.benefit) return a.benefit > b.benefit;
   return a.nodes < b.nodes;
 }
 
-std::string leaf_description(const Node& n) {
+std::string leaf_description(const ExecutionGraph& g, const Node& n) {
   std::string api = n.api != hooks::Fn::kCount_
                         ? std::string(hooks::fn_name(n.api))
                         : std::string("(unknown)");
-  const trace::Frame* leaf = n.stack.leaf();
+  const trace::Frame* leaf = g.leaf(n);
   if (leaf == nullptr) return api;
   return api + " in " + leaf->file + " at line " + std::to_string(leaf->line);
 }
 
-std::string folded_leaf_name(const Node& n) {
-  const trace::Frame* leaf = n.stack.leaf();
+std::string folded_leaf_name(const ExecutionGraph& g, const Node& n) {
+  const trace::Frame* leaf = g.leaf(n);
   if (leaf == nullptr) return "(no stack)";
   return leaf->folded_function;
 }
@@ -95,22 +92,15 @@ std::vector<Group> single_point_groups(const ExecutionGraph& g,
                                        const BenefitOptions& opts) {
   const BenefitReport report = expected_benefit(g, opts);
 
-  struct Key {
-    hooks::Fn api;
-    std::uint64_t stack_key;
-    bool operator<(const Key& other) const {
-      if (api != other.api) return api < other.api;
-      return stack_key < other.stack_key;
-    }
-  };
-  std::map<Key, Group> by_site;
+  // The store interns each distinct stack once, so equal stack ids are
+  // exactly equal stacks.
+  std::map<std::pair<hooks::Fn, evstore::StackId>, Group> by_site;
   for (const NodeBenefit& nb : report.per_node) {
     const Node& n = g.nodes()[nb.node];
-    const Key key{n.api, n.stack.exact_key()};
-    Group& grp = by_site[key];
+    Group& grp = by_site[{n.api, n.stack}];
     if (grp.nodes.empty()) {
       grp.kind = Group::Kind::kSinglePoint;
-      grp.title = leaf_description(n);
+      grp.title = leaf_description(g, n);
     }
     grp.nodes.push_back(nb.node);
     grp.benefit += nb.benefit;
@@ -149,7 +139,7 @@ std::vector<Group> folded_api_groups(const ExecutionGraph& g,
     grp.nodes.push_back(nb.node);
     grp.benefit += nb.benefit;
 
-    FoldAccum& acc = folds[n.api][folded_leaf_name(n)];
+    FoldAccum& acc = folds[n.api][folded_leaf_name(g, n)];
     acc.benefit += nb.benefit;
     ++acc.count;
     acc.conditional = acc.conditional || is_conditionally_unnecessary(n);
@@ -179,21 +169,24 @@ std::vector<Group> folded_api_groups(const ExecutionGraph& g,
 
 namespace {
 
-// Signature of a problematic run: member-wise (API, exact stack,
-// problem). Loop iterations emit identical signatures; those runs merge
-// into one logical sequence.
-std::string run_signature(const ExecutionGraph& g,
-                          const std::vector<std::size_t>& run) {
-  std::string sig;
-  sig.reserve(run.size() * 24);
+// Signature of a problematic run: member-wise (API, stack, problem).
+// Loop iterations emit identical signatures; those runs merge into one
+// logical sequence.
+struct Member {
+  hooks::Fn api;
+  evstore::StackId stack;
+  ProblemType problem;
+  auto operator<=>(const Member&) const = default;
+};
+using Signature = std::vector<Member>;
+
+Signature run_signature(const ExecutionGraph& g,
+                        const std::vector<std::size_t>& run) {
+  Signature sig;
+  sig.reserve(run.size());
   for (const std::size_t i : run) {
     const Node& n = g.nodes()[i];
-    sig += std::to_string(static_cast<int>(n.api));
-    sig += ':';
-    sig += std::to_string(n.stack.exact_key());
-    sig += ':';
-    sig += std::to_string(static_cast<int>(n.problem));
-    sig += ';';
+    sig.push_back(Member{n.api, n.stack, n.problem});
   }
   return sig;
 }
@@ -203,55 +196,50 @@ std::string run_signature(const ExecutionGraph& g,
 std::vector<Group> sequence_groups(const ExecutionGraph& g,
                                    const BenefitOptions& opts,
                                    std::size_t min_members) {
-  // Pass 1: collect maximal problematic runs.
+  // Pass 1: collect maximal problematic runs. "A sequence ... ends when a
+  // node is discovered that performs a synchronization that is
+  // necessary." Non-sync healthy nodes (CWork, healthy CLaunch) sit
+  // inside a sequence without breaking it, so a run breaks between two
+  // consecutive problems exactly when the first one's next sync comes
+  // before the second (that sync is then not a problem).
   std::vector<std::vector<std::size_t>> runs;
   std::vector<std::size_t> run;
   auto flush = [&] {
     if (run.size() >= min_members) runs.push_back(run);
     run.clear();
   };
-  for (std::size_t i = 0; i < g.size(); ++i) {
-    const Node& n = g.nodes()[i];
-    if (n.is_problematic()) {
-      run.push_back(i);
-      continue;
+  for (const std::size_t i : g.problematic_indices()) {
+    if (!run.empty()) {
+      const std::optional<std::size_t> sync = g.next_sync_after(run.back());
+      if (sync.has_value() && *sync < i) flush();
     }
-    // "A sequence ... ends when a node is discovered that performs a
-    // synchronization that is necessary." Non-sync healthy nodes
-    // (CWork, healthy CLaunch) sit inside a sequence without breaking
-    // it.
-    if (n.is_sync_node()) flush();
+    run.push_back(i);
   }
   flush();
 
   // Pass 2: merge runs with identical signatures (loop iterations).
-  std::map<std::string, Group> merged;
-  std::vector<std::string> order;
+  std::map<Signature, Group> merged;
+  std::vector<Group*> order;  // first-seen order
   for (const std::vector<std::size_t>& r : runs) {
-    const std::string sig = run_signature(g, r);
-    Group& grp = merged[sig];
-    if (grp.instances.empty()) {
+    auto [it, inserted] = merged.try_emplace(run_signature(g, r));
+    Group& grp = it->second;
+    if (inserted) {
       grp.kind = Group::Kind::kSequence;
       grp.nodes = r;
-      grp.title =
-          "Sequence starting at call " + leaf_description(g.nodes()[r[0]]);
-      order.push_back(sig);
+      grp.title = "Sequence starting at call " +
+                  leaf_description(g, g.nodes()[r[0]]);
+      order.push_back(&grp);
     }
     grp.instances.push_back(r);
   }
 
   // Pass 3: estimate each merged sequence over the union of its
   // instances' nodes (one subset pass captures the cross-iteration
-  // interactions). The subset estimates are independent — each
-  // expected_benefit_subset call replays on its own copy of the graph —
-  // so they run in parallel; results land by index and group_order's
-  // deterministic tie-break keeps the final ordering thread-count
-  // invariant.
+  // interactions).
   std::vector<Group> out;
   out.reserve(order.size());
-  for (const std::string& sig : order) out.push_back(std::move(merged[sig]));
-  par::parallel_for(out.size(), [&](std::size_t k) {
-    Group& grp = out[k];
+  for (Group* merged_grp : order) {
+    Group& grp = out.emplace_back(std::move(*merged_grp));
     std::vector<std::size_t> all_nodes;
     for (const auto& inst : grp.instances) {
       all_nodes.insert(all_nodes.end(), inst.begin(), inst.end());
@@ -261,7 +249,7 @@ std::vector<Group> sequence_groups(const ExecutionGraph& g,
     // Issue counts describe the sequence TEMPLATE (one instance), as the
     // paper's Figure 6 header does; instance_count() scales them.
     count_issues(g, grp);
-  });
+  }
 
   std::sort(out.begin(), out.end(), group_order);
   return out;
@@ -280,7 +268,7 @@ std::vector<SequenceEntry> sequence_entries(const ExecutionGraph& g,
     SequenceEntry e;
     e.ordinal = out.size() + 1;
     e.op_index = n.op_index;
-    e.description = leaf_description(n);
+    e.description = leaf_description(g, n);
     out.push_back(std::move(e));
   }
   return out;

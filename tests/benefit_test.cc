@@ -94,9 +94,11 @@ TEST(Fig4, NextWaitDurationGrowsByUnrealizedPortion) {
       wait(u(10)),
       wait(Duration{0}),
   });
-  (void)remove_synchronization(g, 0);
-  EXPECT_EQ(g.nodes()[0].duration, Duration{0});
-  EXPECT_EQ(g.nodes()[2].duration, u(25));  // 10 + (18 - 3)
+  Replay replay(g);
+  (void)replay.remove_synchronization(0);
+  EXPECT_EQ(replay.duration(0), Duration{0});
+  EXPECT_EQ(replay.duration(2), u(25));  // 10 + (18 - 3)
+  EXPECT_EQ(g.nodes()[2].duration, u(10));  // the graph itself is untouched
 }
 
 // --- RemoveSyncronization (Figure 5 lines 15-22) ---------------------------------
@@ -108,8 +110,10 @@ TEST(RemoveSync, BenefitCappedByWaitDuration) {
       wait(u(1)),
       wait(Duration{0}),
   });
-  EXPECT_EQ(remove_synchronization(g, 0), u(2));
-  EXPECT_EQ(g.nodes()[2].duration, u(1));  // no overflow
+  Replay replay(g);
+  EXPECT_EQ(replay.remove_synchronization(0), u(2));
+  EXPECT_EQ(replay.duration(0), Duration{0});
+  EXPECT_EQ(replay.duration(2), u(1));  // no overflow
 }
 
 TEST(RemoveSync, NoWorkMeansNoBenefit) {
@@ -118,8 +122,9 @@ TEST(RemoveSync, NoWorkMeansNoBenefit) {
       wait(u(1)),
       wait(Duration{0}),
   });
-  EXPECT_EQ(remove_synchronization(g, 0), Duration{0});
-  EXPECT_EQ(g.nodes()[1].duration, u(10));  // full overflow
+  Replay replay(g);
+  EXPECT_EQ(replay.remove_synchronization(0), Duration{0});
+  EXPECT_EQ(replay.duration(1), u(10));  // full overflow
 }
 
 TEST(RemoveSync, NoNextSyncUsesEndOfProgram) {
@@ -127,12 +132,16 @@ TEST(RemoveSync, NoNextSyncUsesEndOfProgram) {
       wait(u(5), ProblemType::kUnnecessarySync),
       work(u(7)),
   });
-  EXPECT_EQ(remove_synchronization(g, 0), u(5));
+  Replay replay(g);
+  EXPECT_EQ(replay.remove_synchronization(0), u(5));
+  EXPECT_EQ(replay.duration(0), Duration{0});
+  EXPECT_EQ(replay.duration(1), u(7));
 }
 
 TEST(RemoveSync, OnNonSyncNodeThrows) {
   ExecutionGraph g = make_graph({work(u(1))});
-  EXPECT_THROW((void)remove_synchronization(g, 0), Error);
+  Replay replay(g);
+  EXPECT_THROW((void)replay.remove_synchronization(0), Error);
 }
 
 // --- MoveSynchronization (misplaced; Figure 5 lines 24-27) -------------------------
@@ -142,8 +151,9 @@ TEST(MoveSync, BenefitIsFirstUseTime) {
       wait(u(10), ProblemType::kMisplacedSync, /*first_use=*/u(4)),
       wait(Duration{0}),
   });
-  EXPECT_EQ(move_synchronization(g, 0, {}), u(4));
-  EXPECT_EQ(g.nodes()[0].duration, u(6));  // wait shrinks by first-use
+  Replay replay(g);
+  EXPECT_EQ(replay.move_synchronization(0, {}), u(4));
+  EXPECT_EQ(replay.duration(0), u(6));  // wait shrinks by first-use
 }
 
 TEST(MoveSync, CappedVariantLimitsToWaitDuration) {
@@ -153,8 +163,9 @@ TEST(MoveSync, CappedVariantLimitsToWaitDuration) {
   });
   BenefitOptions capped;
   capped.cap_misplaced_at_duration = true;
-  EXPECT_EQ(move_synchronization(g, 0, capped), u(3));
-  EXPECT_EQ(g.nodes()[0].duration, Duration{0});
+  Replay replay(g);
+  EXPECT_EQ(replay.move_synchronization(0, capped), u(3));
+  EXPECT_EQ(replay.duration(0), Duration{0});
 }
 
 TEST(MoveSync, UncappedVariantIsPaperFaithful) {
@@ -164,8 +175,9 @@ TEST(MoveSync, UncappedVariantIsPaperFaithful) {
   });
   BenefitOptions paper;
   paper.cap_misplaced_at_duration = false;
-  EXPECT_EQ(move_synchronization(g, 0, paper), u(10));
-  EXPECT_EQ(g.nodes()[0].duration, Duration{0});  // max(0, 3-10)
+  Replay replay(g);
+  EXPECT_EQ(replay.move_synchronization(0, paper), u(10));
+  EXPECT_EQ(replay.duration(0), Duration{0});  // max(0, 3-10)
 }
 
 // --- RemoveMemoryTransfer (Figure 5 lines 29-32) -------------------------------------
@@ -175,8 +187,37 @@ TEST(RemoveTransfer, BenefitIsLaunchDuration) {
       launch(u(2), ProblemType::kUnnecessaryTransfer),
       wait(Duration{0}),
   });
-  EXPECT_EQ(remove_memory_transfer(g, 0), u(2));
-  EXPECT_EQ(g.nodes()[0].duration, Duration{0});
+  Replay replay(g);
+  EXPECT_EQ(replay.remove_memory_transfer(0), u(2));
+  EXPECT_EQ(replay.duration(0), Duration{0});
+}
+
+TEST(Replay, OverflowCarriesIntoAMisplacedNextSync) {
+  // The removed wait's overflow lands on the next sync, which is itself
+  // a target: its move sees the grown wait.
+  ExecutionGraph g = make_graph({
+      wait(u(10), ProblemType::kUnnecessarySync),
+      work(u(2)),
+      wait(u(3), ProblemType::kMisplacedSync, /*first_use=*/u(4)),
+      wait(Duration{0}),
+  });
+  Replay replay(g);
+  EXPECT_EQ(replay.remove_synchronization(0), u(2));
+  EXPECT_EQ(replay.duration(2), u(11));  // 3 + (10 - 2)
+  EXPECT_EQ(replay.move_synchronization(2, {}), u(4));
+  EXPECT_EQ(replay.duration(2), u(7));
+}
+
+TEST(Replay, DescendingTargetsRejected) {
+  ExecutionGraph g = make_graph({
+      wait(u(5), ProblemType::kUnnecessarySync),
+      work(u(1)),
+      wait(u(5), ProblemType::kUnnecessarySync),
+      wait(Duration{0}),
+  });
+  Replay replay(g);
+  (void)replay.remove_synchronization(2);
+  EXPECT_THROW((void)replay.remove_synchronization(0), Error);
 }
 
 // --- ExpectedBenefit (whole-graph pass) -----------------------------------------------
@@ -323,7 +364,7 @@ TEST_P(BenefitPropertyTest, SubsetNeverBeatsFullSet) {
   Rng rng(GetParam() ^ 0xABCDEF);
   for (int trial = 0; trial < 25; ++trial) {
     const ExecutionGraph g = random_graph(rng, 5 + rng.next_below(40));
-    const auto problems = g.problematic_indices();
+    const std::vector<std::size_t>& problems = g.problematic_indices();
     if (problems.empty()) continue;
 
     // Pick a random subset (in order).
@@ -341,6 +382,131 @@ TEST_P(BenefitPropertyTest, EvaluationIsDeterministic) {
   Rng rng(GetParam() + 17);
   const ExecutionGraph g = random_graph(rng, 30);
   EXPECT_EQ(expected_benefit(g).total, expected_benefit(g).total);
+}
+
+// --- Equivalence with the copy-and-mutate evaluation ---------------------
+// Figure 5 as the pseudocode spells it: a private copy of the nodes whose
+// durations each transform rewrites, with linear next-sync and work
+// scans. The Replay overlay must agree with it exactly.
+
+class CopyAndMutate {
+ public:
+  explicit CopyAndMutate(const ExecutionGraph& g) : nodes_(g.nodes()) {}
+
+  BenefitReport evaluate(const std::vector<std::size_t>& targets,
+                         const BenefitOptions& opts) {
+    BenefitReport report;
+    for (const std::size_t i : targets) {
+      const ProblemType p = nodes_[i].problem;
+      Duration b{0};
+      switch (p) {
+        case ProblemType::kUnnecessarySync: b = remove_sync(i); break;
+        case ProblemType::kMisplacedSync: b = move_sync(i, opts); break;
+        case ProblemType::kUnnecessaryTransfer: b = remove_transfer(i); break;
+        case ProblemType::kNone: continue;
+      }
+      report.per_node.push_back(NodeBenefit{i, b, p});
+      report.total += b;
+      if (p == ProblemType::kUnnecessaryTransfer) {
+        report.transfer_benefit += b;
+      } else {
+        report.sync_benefit += b;
+      }
+    }
+    return report;
+  }
+
+ private:
+  Duration remove_sync(std::size_t i) {
+    std::size_t next = i + 1;
+    while (next < nodes_.size() && !nodes_[next].is_sync_node()) ++next;
+    Duration work{0};
+    for (std::size_t j = i + 1; j < next; ++j) work += nodes_[j].duration;
+    const Duration benefit = std::min(work, nodes_[i].duration);
+    if (next < nodes_.size()) {
+      nodes_[next].duration += nodes_[i].duration - benefit;
+    }
+    nodes_[i].duration = Duration{0};
+    return benefit;
+  }
+
+  Duration move_sync(std::size_t i, const BenefitOptions& opts) {
+    Duration benefit = nodes_[i].first_use_time;
+    if (opts.cap_misplaced_at_duration) {
+      benefit = std::min(benefit, nodes_[i].duration);
+    }
+    nodes_[i].duration = std::max(
+        Duration{0}, nodes_[i].duration - nodes_[i].first_use_time);
+    return benefit;
+  }
+
+  Duration remove_transfer(std::size_t i) {
+    const Duration benefit = nodes_[i].duration;
+    nodes_[i].duration = Duration{0};
+    return benefit;
+  }
+
+  std::vector<Node> nodes_;
+};
+
+void expect_same_report(const BenefitReport& want, const BenefitReport& got) {
+  ASSERT_EQ(want.per_node.size(), got.per_node.size());
+  for (std::size_t k = 0; k < want.per_node.size(); ++k) {
+    EXPECT_EQ(want.per_node[k].node, got.per_node[k].node);
+    EXPECT_EQ(want.per_node[k].benefit, got.per_node[k].benefit);
+    EXPECT_EQ(want.per_node[k].problem, got.per_node[k].problem);
+  }
+  EXPECT_EQ(want.total, got.total);
+  EXPECT_EQ(want.sync_benefit, got.sync_benefit);
+  EXPECT_EQ(want.transfer_benefit, got.transfer_benefit);
+}
+
+TEST_P(BenefitPropertyTest, ReplayMatchesCopyAndMutateReference) {
+  Rng rng(GetParam() * 7919 + 3);
+  for (int trial = 0; trial < 40; ++trial) {
+    const ExecutionGraph g = random_graph(rng, 1 + rng.next_below(60));
+    const std::vector<std::size_t>& problems = g.problematic_indices();
+    std::vector<std::vector<std::size_t>> subsets{{}, problems};
+    for (int k = 0; k < 4; ++k) {
+      std::vector<std::size_t> subset;
+      for (const std::size_t p : problems) {
+        if (rng.next_bool(0.5)) subset.push_back(p);
+      }
+      subsets.push_back(std::move(subset));
+    }
+    for (const bool cap : {true, false}) {
+      BenefitOptions opts;
+      opts.cap_misplaced_at_duration = cap;
+      for (const std::vector<std::size_t>& subset : subsets) {
+        expect_same_report(CopyAndMutate(g).evaluate(subset, opts),
+                           expected_benefit_subset(g, subset, opts));
+      }
+    }
+  }
+}
+
+TEST(ReplayEquivalence, RemovedTransferDirectlyBeforeAnUnnecessarySync) {
+  // One blocking copy: its transfer (CLaunch 5) sits directly before its
+  // unnecessary drain (CWait 6), inside the window of an earlier
+  // unnecessary wait. The earlier wait still counts the transfer's 5;
+  // the drain's window starts after the removed transfer, so summing the
+  // ORIGINAL durations is exact.
+  ExecutionGraph g = make_graph({
+      wait(u(8), ProblemType::kUnnecessarySync),
+      launch(u(5), ProblemType::kUnnecessaryTransfer),
+      wait(u(6), ProblemType::kUnnecessarySync),
+      work(u(3)),
+      wait(u(2)),
+      wait(Duration{0}),
+  });
+  const BenefitReport r = expected_benefit(g);
+  expect_same_report(CopyAndMutate(g).evaluate(g.problematic_indices(), {}),
+                     r);
+  EXPECT_EQ(r.benefit_of(0), u(5));  // window = the transfer; 3 overflow
+  EXPECT_EQ(r.benefit_of(1), u(5));
+  EXPECT_EQ(r.benefit_of(2), u(3));  // 6 + 3 overflow, window = 3
+  EXPECT_EQ(r.transfer_benefit, u(5));
+  EXPECT_EQ(r.sync_benefit, u(8));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BenefitPropertyTest,

@@ -2,6 +2,9 @@
 
 #include "core/groupings.h"
 
+#include <memory>
+
+#include "eventstore/event_store.h"
 #include "support/error.h"
 #include "trace/callstack.h"
 
@@ -10,12 +13,19 @@ namespace {
 
 using hooks::Fn;
 
-trace::StackTrace stack_at(const std::string& fn, const std::string& file,
-                           int line) {
-  std::vector<const trace::Frame*> frames{
+// The test graphs resolve their stack ids through one small store, as a
+// built graph resolves them through its run's store.
+const std::shared_ptr<evstore::EventStore>& stack_store() {
+  static const auto store = std::make_shared<evstore::EventStore>();
+  return store;
+}
+
+evstore::StackId stack_at(const std::string& fn, const std::string& file,
+                          int line) {
+  const trace::StackTrace st({
       trace::FrameTable::instance().intern("main", "app.cc", 1),
-      trace::FrameTable::instance().intern(fn, file, line)};
-  return trace::StackTrace(std::move(frames));
+      trace::FrameTable::instance().intern(fn, file, line)});
+  return stack_store()->intern_stack(st);
 }
 
 Node work(Duration d) {
@@ -25,7 +35,7 @@ Node work(Duration d) {
   return n;
 }
 
-Node problem_wait(Duration d, Fn api, const trace::StackTrace& st,
+Node problem_wait(Duration d, Fn api, evstore::StackId st,
                   std::int64_t op_index,
                   ProblemType p = ProblemType::kUnnecessarySync) {
   Node n;
@@ -53,7 +63,7 @@ ExecutionGraph make_graph(std::vector<Node> nodes) {
     t += n.duration;
     total += n.duration;
   }
-  return ExecutionGraph(std::move(nodes), total);
+  return ExecutionGraph(std::move(nodes), total, stack_store());
 }
 
 // Two loop iterations, each: [free@856 problem, work, free@870 problem,

@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/diogenes.h"
 #include "core/stage1_baseline.h"
 #include "core/stage2_tracing.h"
 #include "core/stage3_memhash.h"
@@ -24,6 +25,7 @@
 #include "obs/prometheus.h"
 #include "obs/telemetry.h"
 #include "support/error.h"
+#include "testkit/synth_run.h"
 #include "trace/callstack.h"
 
 namespace diog::obs {
@@ -372,6 +374,38 @@ TEST(ObsTelemetry, StagesPopulateGlobalSession) {
     if (s.name == "stage2.run") stage2_span = true;
   }
   EXPECT_TRUE(stage2_span);
+  t.reset();
+}
+
+TEST(ObsTelemetry, AnalysisRecordsOneSpanPerStage5Phase) {
+  auto& t = Telemetry::global();
+  t.reset();
+  t.set_enabled(true);
+  const evstore::TraceRun run =
+      testkit::make_synthetic_run(testkit::SynthRunOptions{.events = 5000});
+  (void)ffm::run_analysis(run, ffm::ToolConfig{});
+
+  const auto recs = t.spans().snapshot();
+  if (!kCompiledIn) {
+    EXPECT_TRUE(recs.empty());
+    return;
+  }
+  std::int64_t analysis = -1;
+  for (std::size_t i = 0; i < recs.size(); ++i) {
+    if (recs[i].name == "stage5.analysis") {
+      analysis = static_cast<std::int64_t>(i);
+    }
+  }
+  ASSERT_GE(analysis, 0);
+  // The phases the benchmark's per-layer metrics name, in run order.
+  std::vector<std::string> children;
+  for (const SpanRecord& s : recs) {
+    if (s.parent == analysis) children.push_back(s.name);
+  }
+  EXPECT_EQ(children, (std::vector<std::string>{
+                          "stage5.views", "stage5.build_graph",
+                          "stage5.expected_benefit", "stage5.single_point",
+                          "stage5.folds", "stage5.sequences"}));
   t.reset();
 }
 

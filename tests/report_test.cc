@@ -18,10 +18,11 @@ AnalysisResult handmade_result() {
   r.workload_name = "golden";
   r.s1.exec_time = secs(10.0);
 
-  std::vector<const trace::Frame*> frames{
+  // The graph resolves stack ids through the result's own run store.
+  const trace::StackTrace stack({
       trace::FrameTable::instance().intern("main", "app.cc", 1),
-      trace::FrameTable::instance().intern("update<float>", "als.cpp", 856)};
-  const trace::StackTrace st(frames);
+      trace::FrameTable::instance().intern("update<float>", "als.cpp", 856)});
+  const evstore::StackId st = r.run.store->intern_stack(stack);
 
   std::vector<Node> nodes;
   for (int i = 0; i < 2; ++i) {
@@ -48,7 +49,7 @@ AnalysisResult handmade_result() {
     n.stime = t;
     t += n.duration;
   }
-  r.graph = ExecutionGraph(std::move(nodes), secs(10.0));
+  r.graph = ExecutionGraph(std::move(nodes), secs(10.0), r.run.store);
   r.benefit = expected_benefit(r.graph);
   r.single_points = single_point_groups(r.graph);
   r.folds = folded_api_groups(r.graph);
