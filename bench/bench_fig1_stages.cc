@@ -10,6 +10,7 @@
 #include <memory>
 
 #include "bench_common.h"
+#include "core/run_convert.h"
 #include "core/stage1_baseline.h"
 #include "core/stage2_tracing.h"
 #include "core/stage3_memhash.h"
@@ -75,8 +76,8 @@ void figure1_walkthrough() {
   std::printf("  -> feeds forward: FirstUseTime per required sync\n");
 
   std::printf("\n[no run] Stage 5 — Analysis\n");
-  const ffm::AnalysisResult r = ffm::run_analysis_stage(
-      w.name, s1, s2, s3, s4, tool_cfg);
+  const ffm::AnalysisResult r =
+      ffm::run_analysis(ffm::build_run(w.name, s1, s2, s3, s4), tool_cfg);
   std::printf("  graph: %zu CPU nodes; problematic: %zu\n",
               r.graph.size(), r.graph.problematic_indices().size());
   std::printf("  expected benefit: %s (%s) -> sorted report + JSON\n",

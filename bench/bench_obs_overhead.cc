@@ -12,6 +12,7 @@
 #include <cstdio>
 
 #include "bench_common.h"
+#include "core/run_convert.h"
 #include "core/stage1_baseline.h"
 #include "core/stage2_tracing.h"
 #include "core/stage3_memhash.h"
@@ -34,7 +35,7 @@ void run_pipeline() {
   const ffm::Stage3Result s3 = ffm::run_stage3(w, tool_cfg, s1);
   const ffm::Stage4Result s4 = ffm::run_stage4(w, tool_cfg, s1);
   const ffm::AnalysisResult r =
-      ffm::run_analysis_stage(w.name, s1, s2, s3, s4, tool_cfg);
+      ffm::run_analysis(ffm::build_run(w.name, s1, s2, s3, s4), tool_cfg);
   if (r.graph.size() == 0) std::printf("unexpected empty graph\n");
 }
 

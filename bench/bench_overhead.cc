@@ -25,10 +25,10 @@ int main() {
     const ffm::AnalysisResult r = tool.analyze();
     std::printf("%-10s %10s %10s %10s %10s %10s %8.1fx\n",
                 app.name.c_str(), format_seconds(native).c_str(),
-                format_seconds(r.s1.exec_time).c_str(),
-                format_seconds(r.s2.exec_time).c_str(),
-                format_seconds(r.s3.exec_time).c_str(),
-                format_seconds(r.s4.exec_time).c_str(),
+                format_seconds(r.run.meta.s1_exec).c_str(),
+                format_seconds(r.run.meta.s2_exec).c_str(),
+                format_seconds(r.run.meta.s3_exec).c_str(),
+                format_seconds(r.run.meta.s4_exec).c_str(),
                 r.overhead_factor);
   }
   std::printf("\n[paper: total collection cost 8x (cumf_als) to 20x (cuIBM)\n"

@@ -929,7 +929,12 @@ int main(int argc, char** argv) {
     const std::string workload = argv[arg++];
     command = arg < argc ? argv[arg++] : "overview";
     log.info("cli", "offline analysis of " + workload + " from " + dir);
-    r = ffm::analyze_dir(dir, workload, cfg);
+    try {
+      r = ffm::analyze_dir(dir, workload, cfg);
+    } catch (const Error& e) {
+      std::fprintf(stderr, "replay failed: %s\n", e.what());
+      return 1;
+    }
   } else {
     for (const auto& a : app_list) {
       if (a.name == app_name) app = &a;

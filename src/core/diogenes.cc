@@ -55,19 +55,10 @@ AnalysisResult run_analysis(const evstore::TraceRun& run,
   AnalysisResult r;
   r.workload_name = run.meta.workload;
   r.run = run;
-  {
-    // Legacy per-stage views, materialized from the store in append
-    // order (byte-stable regardless of whether the run came from memory
-    // or disk).
-    DIOG_SPAN("stage5.views");
-    r.s1 = stage1_view(run);
-    r.s2 = stage2_view(run);
-    r.s3 = stage3_view(run);
-    r.s4 = stage4_view(run);
-  }
 
-  // Stage 5 is serial: the graph is immutable and every benefit pass is
-  // a sparse replay over it (benefit.h), so the grouping families cost
+  // Stage 5 is serial and reads the run only through cursors and its
+  // metadata: the graph is immutable and every benefit pass is a sparse
+  // replay over it (benefit.h), so the grouping families cost
   // O(problems) each.
   {
     DIOG_SPAN("stage5.build_graph");
@@ -100,20 +91,8 @@ AnalysisResult run_analysis(const evstore::TraceRun& run,
   }
 
   r.collection_time = run.collection_time();
-  r.overhead_factor =
-      r.s1.exec_time.count() > 0
-          ? static_cast<double>(r.collection_time.count()) /
-                static_cast<double>(r.s1.exec_time.count())
-          : 0.0;
+  r.overhead_factor = r.fraction_of_exec(r.collection_time);
   return r;
-}
-
-AnalysisResult run_analysis_stage(std::string workload_name,
-                                  Stage1Result s1, Stage2Result s2,
-                                  Stage3Result s3, Stage4Result s4,
-                                  const ToolConfig& cfg) {
-  return run_analysis(build_run(std::move(workload_name), s1, s2, s3, s4),
-                      cfg);
 }
 
 AnalysisResult Diogenes::analyze() {

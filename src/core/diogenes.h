@@ -2,8 +2,9 @@
 //
 // Orchestrates the four collection runs and the analysis stage with no
 // user interaction between stages, mirroring the real tool's automated
-// multi-run flow. Stage outputs are (optionally) persisted as JSON files
-// between runs; the analysis consumes only the serialized stage data.
+// multi-run flow. The stages communicate through one evstore::TraceRun
+// (optionally saved as a .dgtrace file); the analysis reads that run
+// through cursors and nothing else.
 #pragma once
 
 #include <string>
@@ -23,16 +24,10 @@ struct AnalysisResult {
 
   // The run the analysis consumed: every observed event in the columnar
   // store plus run-level metadata. Kept by shared_ptr inside TraceRun,
-  // so copying the result does not copy columns.
+  // so copying the result does not copy columns. The result holds no
+  // per-stage copy of it; a consumer that wants the legacy stage shapes
+  // builds them on demand with stageN_view(run) (run_convert.h).
   evstore::TraceRun run;
-
-  // Per-stage outputs, materialized as views over `run` (run_convert.h).
-  // The legacy shapes survive for JSON round-trip and existing
-  // consumers; `run` is the source of truth.
-  Stage1Result s1;
-  Stage2Result s2;
-  Stage3Result s3;
-  Stage4Result s4;
 
   // Analysis-stage products.
   ExecutionGraph graph;
@@ -48,11 +43,11 @@ struct AnalysisResult {
 
   // The denominator for "% of execution time" displays: the baseline
   // (stage 1) measurement, which is designed to run near-native.
-  [[nodiscard]] Duration exec_time() const { return s1.exec_time; }
+  [[nodiscard]] Duration exec_time() const { return run.meta.s1_exec; }
   [[nodiscard]] double fraction_of_exec(Duration d) const {
-    return s1.exec_time.count() > 0
+    return exec_time().count() > 0
                ? static_cast<double>(d.count()) /
-                     static_cast<double>(s1.exec_time.count())
+                     static_cast<double>(exec_time().count())
                : 0.0;
   }
 
@@ -73,14 +68,6 @@ struct AnalysisResult {
 // byte-identical result of the in-memory pipeline.
 AnalysisResult run_analysis(const evstore::TraceRun& run,
                             const ToolConfig& cfg);
-
-// Legacy-shape adapter: assembles a run from the stage values and
-// delegates to run_analysis. Used by offline JSON replay
-// (core/replay.h) and older embedders.
-AnalysisResult run_analysis_stage(std::string workload_name,
-                                  Stage1Result s1, Stage2Result s2,
-                                  Stage3Result s3, Stage4Result s4,
-                                  const ToolConfig& cfg);
 
 class Diogenes {
  public:

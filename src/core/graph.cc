@@ -4,7 +4,6 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "core/run_convert.h"
 #include "eventstore/cursor.h"
 #include "support/error.h"
 
@@ -203,16 +202,6 @@ ExecutionGraph build_graph(const evstore::TraceRun& run,
   nodes.push_back(exit_node);
 
   return ExecutionGraph(std::move(nodes), exec_time, run.store);
-}
-
-ExecutionGraph build_graph(const Stage2Result& s2, const Stage3Result& s3,
-                           const Stage4Result& s4,
-                           Duration misplaced_threshold) {
-  evstore::TraceRun run;
-  append_stage2(run, s2);
-  append_stage3(run, s3);
-  append_stage4(run, s4);
-  return build_graph(run, misplaced_threshold);
 }
 
 }  // namespace diog::ffm

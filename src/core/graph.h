@@ -113,10 +113,4 @@ class ExecutionGraph {
 ExecutionGraph build_graph(const evstore::TraceRun& run,
                            Duration misplaced_threshold);
 
-// Legacy-shape adapter: assembles a transient run from the stage values
-// and delegates to the cursor-based builder above.
-ExecutionGraph build_graph(const Stage2Result& s2, const Stage3Result& s3,
-                           const Stage4Result& s4,
-                           Duration misplaced_threshold);
-
 }  // namespace diog::ffm

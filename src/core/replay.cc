@@ -2,6 +2,7 @@
 
 #include <fstream>
 
+#include "core/run_convert.h"
 #include "eventstore/run_io.h"
 #include "support/error.h"
 
@@ -21,8 +22,9 @@ StageBundle load_stage_files(const std::string& dir,
 
 AnalysisResult analyze_offline(const StageBundle& bundle,
                                const ToolConfig& cfg) {
-  return run_analysis_stage(bundle.workload_name, bundle.s1, bundle.s2,
-                            bundle.s3, bundle.s4, cfg);
+  return run_analysis(build_run(bundle.workload_name, bundle.s1, bundle.s2,
+                                bundle.s3, bundle.s4),
+                      cfg);
 }
 
 bool has_run_file(const std::string& dir,

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdio>
 
+#include "core/run_convert.h"
 #include "eventstore/cursor.h"
 #include "eventstore/run_format.h"
 #include "support/error.h"
@@ -121,9 +122,11 @@ json::Value export_json(const AnalysisResult& r) {
   o["exec_time_ns"] = duration_to_json(r.exec_time());
   o["collection_time_ns"] = duration_to_json(r.collection_time);
   o["overhead_factor"] = r.overhead_factor;
-  o["stage1"] = r.s1.to_json();
-  o["stage3"] = r.s3.to_json();
-  o["stage4"] = r.s4.to_json();
+  // The stage sections are small (sync sites, classifications, first
+  // uses) and built from the run on demand; the analysis keeps no copy.
+  o["stage1"] = stage1_view(r.run).to_json();
+  o["stage3"] = stage3_view(r.run).to_json();
+  o["stage4"] = stage4_view(r.run).to_json();
   o["total_benefit_ns"] = duration_to_json(r.benefit.total);
   o["sync_benefit_ns"] = duration_to_json(r.benefit.sync_benefit);
   o["transfer_benefit_ns"] = duration_to_json(r.benefit.transfer_benefit);

@@ -23,8 +23,9 @@ void append_stage2(evstore::TraceRun& run, const Stage2Result& s2);
 void append_stage3(evstore::TraceRun& run, const Stage3Result& s3);
 void append_stage4(evstore::TraceRun& run, const Stage4Result& s4);
 
-// Builds a complete run from four stage results (the legacy-signature
-// adapters and tests use this; the live driver appends incrementally).
+// Builds a complete run from four stage results (the JSON replay
+// fallback, benches and tests use this; the live driver appends
+// incrementally).
 evstore::TraceRun build_run(const std::string& workload,
                             const Stage1Result& s1, const Stage2Result& s2,
                             const Stage3Result& s3, const Stage4Result& s4);

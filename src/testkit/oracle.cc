@@ -91,8 +91,8 @@ OracleReport check_analysis_invariants(const evstore::TraceRun& run,
 
   // --- Bounds ---------------------------------------------------------------
   const Duration wall =
-      std::max({a.s1.exec_time, a.s2.exec_time, a.s3.exec_time,
-                a.s4.exec_time});
+      std::max({a.run.meta.s1_exec, a.run.meta.s2_exec, a.run.meta.s3_exec,
+                a.run.meta.s4_exec});
   Duration per_node_sum{0};
   for (const ffm::NodeBenefit& nb : a.benefit.per_node) {
     check(nb.benefit.count() >= 0,

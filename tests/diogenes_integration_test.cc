@@ -5,9 +5,12 @@
 #include <filesystem>
 #include <memory>
 
+#include "apps/apps.h"
 #include "core/diogenes.h"
-#include "support/error.h"
 #include "core/report.h"
+#include "core/run_convert.h"
+#include "eventstore/run_io.h"
+#include "support/error.h"
 #include "gpusim/api.h"
 #include "gpusim/host_buffer.h"
 #include "trace/callstack.h"
@@ -104,17 +107,18 @@ class IntegrationTest : public ::testing::Test {
 AnalysisResult* IntegrationTest::result_ = nullptr;
 
 TEST_F(IntegrationTest, AllStagesRan) {
-  EXPECT_EQ(result_->s1.wait_fn, Fn::kInternalWaitForStream);
-  EXPECT_GT(result_->s1.exec_time.count(), 0);
-  EXPECT_FALSE(result_->s2.ops.empty());
-  EXPECT_FALSE(result_->s3.syncs.empty());
-  EXPECT_FALSE(result_->s4.uses.empty());
+  const Stage1Result s1 = stage1_view(result_->run);
+  EXPECT_EQ(s1.wait_fn, Fn::kInternalWaitForStream);
+  EXPECT_GT(s1.exec_time.count(), 0);
+  EXPECT_FALSE(stage2_view(result_->run).ops.empty());
+  EXPECT_FALSE(stage3_view(result_->run).syncs.empty());
+  EXPECT_FALSE(stage4_view(result_->run).uses.empty());
   EXPECT_GT(result_->graph.size(), 0u);
 }
 
 TEST_F(IntegrationTest, HiddenFreeSyncDiscovered) {
   bool free_site = false;
-  for (const SyncSite& s : result_->s1.sync_sites) {
+  for (const SyncSite& s : stage1_view(result_->run).sync_sites) {
     if (s.api == Fn::kCudaFree) free_site = true;
   }
   EXPECT_TRUE(free_site);
@@ -122,7 +126,7 @@ TEST_F(IntegrationTest, HiddenFreeSyncDiscovered) {
 
 TEST_F(IntegrationTest, DuplicateUploadsFlagged) {
   // 7 of the 8 identical uploads are duplicates.
-  EXPECT_EQ(result_->s3.duplicate_transfers.size(), 7u);
+  EXPECT_EQ(stage3_view(result_->run).duplicate_transfers.size(), 7u);
 }
 
 TEST_F(IntegrationTest, FreeBenefitDominatesDeviceSyncBenefit) {
@@ -210,9 +214,10 @@ TEST_F(IntegrationTest, DeterministicAcrossAnalyses) {
   Diogenes tool(synthetic_workload());
   const AnalysisResult again = tool.analyze();
   EXPECT_EQ(again.benefit.total, result_->benefit.total);
-  EXPECT_EQ(again.s2.ops.size(), result_->s2.ops.size());
-  EXPECT_EQ(again.s3.duplicate_transfers.size(),
-            result_->s3.duplicate_transfers.size());
+  EXPECT_EQ(stage2_view(again.run).ops.size(),
+            stage2_view(result_->run).ops.size());
+  EXPECT_EQ(stage3_view(again.run).duplicate_transfers.size(),
+            stage3_view(result_->run).duplicate_transfers.size());
 }
 
 TEST(DiogenesDriver, PersistsStageFilesWhenConfigured) {
@@ -264,6 +269,51 @@ TEST(DiogenesDriver, CleanWorkloadReportsNothing) {
   // The readback's sync is required with immediate use; the final free
   // waits on nothing. Total estimated benefit is negligible.
   EXPECT_LT(r.benefit.total, ms(1));
+}
+
+// export_json builds its stage sections from the run on demand (the
+// analysis keeps no per-stage copy): each section must be exactly the
+// stage's view of the run, and a save/open round trip of that run must
+// export the same bytes.
+TEST(ExportJson, StageSectionsAreRunViewsAndSurviveReopen) {
+  apps::CumfAlsConfig app_cfg;
+  app_cfg.iterations = 4;
+  const AnalysisResult r = Diogenes(apps::make_cumf_als(app_cfg)).analyze();
+  const json::Value v = export_json(r);
+  EXPECT_EQ(v.at("stage1"), stage1_view(r.run).to_json());
+  EXPECT_EQ(v.at("stage3"), stage3_view(r.run).to_json());
+  EXPECT_EQ(v.at("stage4"), stage4_view(r.run).to_json());
+  EXPECT_GT(v.at("stage1").at("sync_sites").size(), 0u);
+  EXPECT_GT(v.at("stage3").at("syncs").size(), 0u);
+  EXPECT_GT(v.at("stage4").at("uses").size(), 0u);
+
+  const auto path =
+      std::filesystem::temp_directory_path() / "diog_export_cumf_als.dgtrace";
+  evstore::save_run(path.string(), r.run);
+  const AnalysisResult reopened =
+      run_analysis(evstore::open_run(path.string()), ToolConfig{});
+  std::filesystem::remove(path);
+  EXPECT_EQ(export_json(reopened).dump(), v.dump());
+}
+
+// The execution time and overhead factor come from the run's metadata,
+// so a run that carries only stage times (no events) still reports them.
+TEST(RunAnalysis, TimesComeFromRunMeta) {
+  evstore::TraceRun run;
+  run.meta.workload = "meta_only";
+  run.meta.s1_exec = secs(2.0);
+  run.meta.s2_exec = secs(3.0);
+  const AnalysisResult r = run_analysis(run, ToolConfig{});
+  EXPECT_EQ(r.exec_time(), secs(2.0));
+  EXPECT_EQ(r.collection_time, secs(5.0));
+  EXPECT_DOUBLE_EQ(r.overhead_factor, 2.5);
+  EXPECT_DOUBLE_EQ(r.fraction_of_exec(secs(1.0)), 0.5);
+
+  run.meta.s1_exec = Duration{0};
+  const AnalysisResult no_baseline = run_analysis(run, ToolConfig{});
+  EXPECT_EQ(no_baseline.exec_time(), Duration{0});
+  EXPECT_DOUBLE_EQ(no_baseline.overhead_factor, 0.0);
+  EXPECT_DOUBLE_EQ(no_baseline.fraction_of_exec(secs(1.0)), 0.0);
 }
 
 }  // namespace

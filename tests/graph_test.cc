@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "core/graph.h"
+#include "core/run_convert.h"
 
 namespace diog::ffm {
 namespace {
@@ -25,7 +26,7 @@ OpRecord make_op(std::uint64_t index, Fn api, TimePoint enter, TimePoint exit,
 TEST(GraphBuild, EmptyTraceYieldsTerminalNodeOnly) {
   Stage2Result s2;
   s2.exec_time = ms(10);
-  const ExecutionGraph g = build_graph(s2, {}, {}, us(50));
+  const ExecutionGraph g = build_graph(build_run("t", {}, s2, {}, {}), us(50));
   // One CWork for the whole run, one terminal CWait.
   ASSERT_EQ(g.size(), 2u);
   EXPECT_EQ(g.nodes()[0].type, NType::kCWork);
@@ -46,7 +47,7 @@ TEST(GraphBuild, SyncCallSplitsIntoLaunchAndWait) {
   cls.required = false;
   s3.syncs.push_back(cls);
 
-  const ExecutionGraph g = build_graph(s2, s3, {}, us(50));
+  const ExecutionGraph g = build_graph(build_run("t", {}, s2, s3, {}), us(50));
   // CWork(0-5) + CLaunch(setup) + CWait(blocked) + CWork(6-20) + terminal.
   ASSERT_EQ(g.size(), 5u);
   EXPECT_EQ(g.nodes()[0].type, NType::kCWork);
@@ -71,7 +72,7 @@ TEST(GraphBuild, TransferTailCountsAsLaunchNotWait) {
   op.bytes = 1 << 20;
   s2.ops.push_back(op);
 
-  const ExecutionGraph g = build_graph(s2, {}, {}, us(50));
+  const ExecutionGraph g = build_graph(build_run("t", {}, s2, {}, {}), us(50));
   // CWait holds only the drain of PRIOR work (1.5 ms); the transfer tail
   // belongs to CLaunch (paper: RemoveMemoryTransfer recovers CLaunch).
   const Node* launch = nullptr;
@@ -99,7 +100,7 @@ TEST(GraphBuild, DuplicateTransferMarksLaunchNode) {
   dup.first_op_index = 0;
   s3.duplicate_transfers.push_back(dup);
 
-  const ExecutionGraph g = build_graph(s2, s3, {}, us(50));
+  const ExecutionGraph g = build_graph(build_run("t", {}, s2, s3, {}), us(50));
   bool found = false;
   for (const Node& n : g.nodes()) {
     if (n.type == NType::kCLaunch && n.op_index == 0) {
@@ -123,7 +124,7 @@ TEST(GraphBuild, RequiredSyncWithLargeFirstUseIsMisplaced) {
   Stage4Result s4;
   s4.uses.push_back(SyncUse{0, ms(3)});
 
-  const ExecutionGraph g = build_graph(s2, s3, s4, us(50));
+  const ExecutionGraph g = build_graph(build_run("t", {}, s2, s3, s4), us(50));
   const Node* wait = nullptr;
   for (const Node& n : g.nodes()) {
     if (n.type == NType::kCWait && n.op_index == 0) wait = &n;
@@ -146,7 +147,7 @@ TEST(GraphBuild, RequiredSyncWithImmediateUseIsHealthy) {
   Stage4Result s4;
   s4.uses.push_back(SyncUse{0, us(10)});  // below the 50 us threshold
 
-  const ExecutionGraph g = build_graph(s2, s3, s4, us(50));
+  const ExecutionGraph g = build_graph(build_run("t", {}, s2, s3, s4), us(50));
   for (const Node& n : g.nodes()) {
     if (n.type == NType::kCWait && n.op_index == 0) {
       EXPECT_EQ(n.problem, ProblemType::kNone);
@@ -161,7 +162,7 @@ TEST(GraphBuild, TotalDurationEqualsExecTime) {
                            TimePoint{ms(4)}, ms(1), true, true));
   s2.ops.push_back(make_op(1, Fn::kCudaDeviceSynchronize, TimePoint{ms(10)},
                            TimePoint{ms(15)}, ms(5) - us(3), true, false));
-  const ExecutionGraph g = build_graph(s2, {}, {}, us(50));
+  const ExecutionGraph g = build_graph(build_run("t", {}, s2, {}, {}), us(50));
   EXPECT_EQ(g.total_duration(), ms(30));
   EXPECT_EQ(g.exec_time(), ms(30));
 }
@@ -210,7 +211,7 @@ TEST(GraphJson, ExportContainsNodes) {
   s2.exec_time = ms(5);
   s2.ops.push_back(make_op(0, Fn::kCudaFree, TimePoint{ms(1)},
                            TimePoint{ms(2)}, us(900), true, false));
-  const ExecutionGraph g = build_graph(s2, {}, {}, us(50));
+  const ExecutionGraph g = build_graph(build_run("t", {}, s2, {}, {}), us(50));
   const json::Value v = g.to_json();
   EXPECT_EQ(v.at("exec_time_ns").as_int(), ms(5).count());
   EXPECT_GE(v.at("nodes").size(), 3u);

@@ -403,9 +403,9 @@ TEST(ObsTelemetry, AnalysisRecordsOneSpanPerStage5Phase) {
     if (s.parent == analysis) children.push_back(s.name);
   }
   EXPECT_EQ(children, (std::vector<std::string>{
-                          "stage5.views", "stage5.build_graph",
-                          "stage5.expected_benefit", "stage5.single_point",
-                          "stage5.folds", "stage5.sequences"}));
+                          "stage5.build_graph", "stage5.expected_benefit",
+                          "stage5.single_point", "stage5.folds",
+                          "stage5.sequences"}));
   t.reset();
 }
 

@@ -14,6 +14,7 @@
 
 #include "core/diogenes.h"
 #include "core/report.h"
+#include "core/run_convert.h"
 #include "gpusim/api.h"
 #include "gpusim/host_buffer.h"
 #include "support/rng.h"
@@ -162,14 +163,17 @@ TEST_P(PipelinePropertyTest, InvariantsAgainstOracle) {
   Diogenes tool(w);
   const AnalysisResult r = tool.analyze();
   const Oracle& oracle = *prog->oracle;
+  const Stage2Result s2 = stage2_view(r.run);
+  const Stage3Result s3 = stage3_view(r.run);
+  const Stage4Result s4 = stage4_view(r.run);
 
   // --- duplicate detection matches construction ---------------------------
-  EXPECT_EQ(r.s3.duplicate_transfers.size(), oracle.duplicate_uploads);
-  for (const DuplicateTransfer& d : r.s3.duplicate_transfers) {
-    ASSERT_LT(d.op_index, r.s2.ops.size());
+  EXPECT_EQ(s3.duplicate_transfers.size(), oracle.duplicate_uploads);
+  for (const DuplicateTransfer& d : s3.duplicate_transfers) {
+    ASSERT_LT(d.op_index, s2.ops.size());
     ASSERT_LT(d.first_op_index, d.op_index);  // first strictly earlier
-    const OpRecord& dup = r.s2.ops[d.op_index];
-    const OpRecord& first = r.s2.ops[d.first_op_index];
+    const OpRecord& dup = s2.ops[d.op_index];
+    const OpRecord& first = s2.ops[d.first_op_index];
     EXPECT_EQ(dup.bytes, first.bytes);
     // Duplicates come from re-sending stable content or re-reading an
     // unchanged device buffer — never from the fresh uploads.
@@ -179,7 +183,7 @@ TEST_P(PipelinePropertyTest, InvariantsAgainstOracle) {
   // --- trace counts match the oracle --------------------------------------
   std::size_t traced_syncs = 0;
   std::size_t traced_transfers = 0;
-  for (const OpRecord& op : r.s2.ops) {
+  for (const OpRecord& op : s2.ops) {
     if (op.performed_sync) ++traced_syncs;
     if (op.performed_transfer) ++traced_transfers;
     EXPECT_LE(op.t_enter, op.t_exit);
@@ -189,31 +193,31 @@ TEST_P(PipelinePropertyTest, InvariantsAgainstOracle) {
   EXPECT_EQ(traced_transfers, oracle.transfer_calls);
 
   // --- stage alignment ------------------------------------------------------
-  for (const SyncClassification& c : r.s3.syncs) {
-    ASSERT_LT(c.op_index, r.s2.ops.size());
-    EXPECT_TRUE(r.s2.ops[c.op_index].performed_sync);
+  for (const SyncClassification& c : s3.syncs) {
+    ASSERT_LT(c.op_index, s2.ops.size());
+    EXPECT_TRUE(s2.ops[c.op_index].performed_sync);
   }
-  for (const SyncUse& u : r.s4.uses) {
-    ASSERT_LT(u.op_index, r.s2.ops.size());
+  for (const SyncUse& u : s4.uses) {
+    ASSERT_LT(u.op_index, s2.ops.size());
     EXPECT_GE(u.first_use_time.count(), 0);
   }
 
   // --- benefit bounds ---------------------------------------------------------
   EXPECT_GE(r.benefit.total.count(), 0);
-  EXPECT_LE(r.benefit.total, r.s2.exec_time);
+  EXPECT_LE(r.benefit.total, s2.exec_time);
   EXPECT_EQ(r.benefit.total,
             r.benefit.sync_benefit + r.benefit.transfer_benefit);
 
   // --- graph totals reproduce the traced run ----------------------------------
-  EXPECT_EQ(r.graph.total_duration(), r.s2.exec_time);
+  EXPECT_EQ(r.graph.total_duration(), s2.exec_time);
 
   // --- serialization round trips -----------------------------------------------
-  EXPECT_EQ(Stage2Result::from_json(r.s2.to_json()).to_json().dump(),
-            r.s2.to_json().dump());
-  EXPECT_EQ(Stage3Result::from_json(r.s3.to_json()).to_json().dump(),
-            r.s3.to_json().dump());
-  EXPECT_EQ(Stage4Result::from_json(r.s4.to_json()).to_json().dump(),
-            r.s4.to_json().dump());
+  EXPECT_EQ(Stage2Result::from_json(s2.to_json()).to_json().dump(),
+            s2.to_json().dump());
+  EXPECT_EQ(Stage3Result::from_json(s3.to_json()).to_json().dump(),
+            s3.to_json().dump());
+  EXPECT_EQ(Stage4Result::from_json(s4.to_json()).to_json().dump(),
+            s4.to_json().dump());
 
   // --- JSON export is well-formed ------------------------------------------------
   EXPECT_NO_THROW((void)json::parse(export_json(r).dump_pretty()));
@@ -224,10 +228,12 @@ TEST_P(PipelinePropertyTest, AnalysisIsDeterministic) {
   Diogenes t1(w), t2(w);
   const AnalysisResult a = t1.analyze();
   const AnalysisResult b = t2.analyze();
+  const Stage2Result a2 = stage2_view(a.run), b2 = stage2_view(b.run);
+  const Stage3Result a3 = stage3_view(a.run), b3 = stage3_view(b.run);
   EXPECT_EQ(a.benefit.total, b.benefit.total);
-  EXPECT_EQ(a.s2.exec_time, b.s2.exec_time);
-  EXPECT_EQ(a.s3.duplicate_transfers.size(),
-            b.s3.duplicate_transfers.size());
+  EXPECT_EQ(a2.exec_time, b2.exec_time);
+  EXPECT_EQ(a3.duplicate_transfers.size(),
+            b3.duplicate_transfers.size());
   EXPECT_EQ(export_json(a).dump(), export_json(b).dump());
 }
 
@@ -236,13 +242,15 @@ TEST_P(PipelinePropertyTest, BaselineStageMatchesUninstrumentedClosely) {
   const Duration native = run_uninstrumented(w);
   Diogenes tool(w);
   const AnalysisResult r = tool.analyze();
+  const Stage1Result s1 = stage1_view(r.run);
+  const Stage3Result s3 = stage3_view(r.run);
   // Stage 1 is designed low-overhead: within 5% of native.
-  const double ratio = static_cast<double>(r.s1.exec_time.count()) /
+  const double ratio = static_cast<double>(s1.exec_time.count()) /
                        static_cast<double>(native.count());
   EXPECT_GE(ratio, 1.0);
   EXPECT_LT(ratio, 1.05);
   // Stage 3 is the heavy one.
-  EXPECT_GT(r.s3.exec_time, r.s1.exec_time);
+  EXPECT_GT(s3.exec_time, s1.exec_time);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PipelinePropertyTest,

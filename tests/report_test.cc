@@ -16,7 +16,7 @@ using hooks::Fn;
 AnalysisResult handmade_result() {
   AnalysisResult r;
   r.workload_name = "golden";
-  r.s1.exec_time = secs(10.0);
+  r.run.meta.s1_exec = secs(10.0);
 
   // The graph resolves stack ids through the result's own run store.
   const trace::StackTrace stack({
@@ -125,7 +125,7 @@ TEST(ReportGolden, FractionHelpers) {
 TEST(ReportGolden, EmptyResultRendersGracefully) {
   AnalysisResult r;
   r.workload_name = "empty";
-  r.s1.exec_time = secs(1.0);
+  r.run.meta.s1_exec = secs(1.0);
   EXPECT_NO_THROW((void)render_overview(r));
   EXPECT_NO_THROW((void)render_api_savings(r));
   EXPECT_NO_THROW((void)export_json(r));

@@ -22,8 +22,10 @@ int main(int argc, char** argv) {
     ffm::Diogenes tool(app.pathological);
     auto r = tool.analyze();
     std::printf("stage exec times: s1=%s s2=%s s3=%s s4=%s overhead=%.1fx\n",
-                format_seconds(r.s1.exec_time).c_str(), format_seconds(r.s2.exec_time).c_str(),
-                format_seconds(r.s3.exec_time).c_str(), format_seconds(r.s4.exec_time).c_str(),
+                format_seconds(r.run.meta.s1_exec).c_str(),
+                format_seconds(r.run.meta.s2_exec).c_str(),
+                format_seconds(r.run.meta.s3_exec).c_str(),
+                format_seconds(r.run.meta.s4_exec).c_str(),
                 r.overhead_factor);
     std::printf("total est benefit: %s (%.2f%%)  sync=%s transfer=%s\n",
                 format_seconds(r.benefit.total).c_str(),
