@@ -8,6 +8,8 @@
 #include <vector>
 
 #include "core/benefit.h"
+#include "core/graph.h"
+#include "core/tool_config.h"
 #include "gpusim/api.h"
 #include "gpusim/runtime.h"
 #include "hashing/content_hash.h"
@@ -15,6 +17,7 @@
 #include "hooks/hook_table.h"
 #include "json/json.h"
 #include "support/rng.h"
+#include "testkit/synth_run.h"
 #include "trace/callstack.h"
 
 namespace {
@@ -197,5 +200,25 @@ void BM_ExpectedBenefitSubset(benchmark::State& state) {
                           static_cast<std::int64_t>(subset.size()));
 }
 BENCHMARK(BM_ExpectedBenefitSubset)->Args({1000000, 64});
+
+// Stage 5's largest phase: the graph of the 1M-event synthetic run (the
+// benchmark's trace_1m input, ~2M nodes). Dominated by first-touching
+// the node vector, so it tracks sizeof(Node) and the columns scanned.
+void BM_BuildGraph(benchmark::State& state) {
+  testkit::SynthRunOptions opts;
+  opts.events = static_cast<std::uint64_t>(state.range(0));
+  const evstore::TraceRun run = testkit::make_synthetic_run(opts);
+  const Duration threshold = ffm::ToolConfig{}.misplaced_threshold;
+  std::size_t nodes = 0;
+  for (auto _ : state) {
+    const ffm::ExecutionGraph g = ffm::build_graph(run, threshold);
+    nodes = g.size();
+    benchmark::DoNotOptimize(nodes);
+  }
+  state.counters["nodes"] = static_cast<double>(nodes);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_BuildGraph)->Arg(1000000)->Unit(benchmark::kMillisecond);
 
 }  // namespace

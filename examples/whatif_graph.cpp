@@ -42,12 +42,7 @@ Node wait_node(Duration d, ProblemType p = ProblemType::kNone,
 
 ExecutionGraph finalize(std::vector<Node> nodes) {
   Duration total{0};
-  TimePoint t{0};
-  for (Node& n : nodes) {
-    n.stime = t;
-    t += n.duration;
-    total += n.duration;
-  }
+  for (const Node& n : nodes) total += n.duration;
   return ExecutionGraph(std::move(nodes), total);
 }
 

@@ -82,11 +82,13 @@
 //                           1 = fully serial). Output is byte-identical
 //                           at any thread count.
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -153,6 +155,22 @@ int usage() {
       "            compare | uvm | diff | export FILE | stages DIR |\n"
       "            metrics [--json]\n");
   return 2;
+}
+
+// Parses the whole of `text` as a base-10 number in [lo, hi] into `out`.
+// An empty token, a sign on an unsigned type, trailing characters, NaN
+// or an out-of-range value fail, so a typo is a usage error and not a
+// zero.
+template <typename T>
+bool parse_number(const char* text, T& out,
+                  T lo = std::numeric_limits<T>::lowest(),
+                  T hi = std::numeric_limits<T>::max()) {
+  const char* end = text + std::strlen(text);
+  T v{};
+  const auto [p, ec] = std::from_chars(text, end, v);
+  if (ec != std::errc{} || p != end || !(v >= lo && v <= hi)) return false;
+  out = v;
+  return true;
 }
 
 // `trace tail`: follow a run file — possibly one another process is
@@ -388,7 +406,13 @@ int main(int argc, char** argv) {
       ++arg;
     } else if (std::strcmp(argv[arg], "--misplaced-us") == 0 &&
                arg + 1 < argc) {
-      cfg.misplaced_threshold = us(std::strtol(argv[arg + 1], nullptr, 10));
+      std::int64_t threshold_us = 0;
+      if (!parse_number<std::int64_t>(
+              argv[arg + 1], threshold_us, 0,
+              std::numeric_limits<std::int64_t>::max() / 1000)) {
+        return usage();
+      }
+      cfg.misplaced_threshold = us(threshold_us);
       arg += 2;
     } else if (std::strcmp(argv[arg], "--telemetry") == 0 && arg + 1 < argc) {
       telemetry_path = argv[arg + 1];
@@ -397,31 +421,38 @@ int main(int argc, char** argv) {
       cfg.trace_dir = argv[arg + 1];
       arg += 2;
     } else if (std::strcmp(argv[arg], "--retain-mb") == 0 && arg + 1 < argc) {
-      cfg.retain_mb = std::strtoull(argv[arg + 1], nullptr, 10);
+      if (!parse_number<std::uint64_t>(
+              argv[arg + 1], cfg.retain_mb, 0,
+              std::numeric_limits<std::uint64_t>::max() >> 20)) {
+        return usage();
+      }
       arg += 2;
     } else if (std::strcmp(argv[arg], "--retain-events") == 0 &&
                arg + 1 < argc) {
-      cfg.retain_events = std::strtoull(argv[arg + 1], nullptr, 10);
+      if (!parse_number(argv[arg + 1], cfg.retain_events)) return usage();
       arg += 2;
     } else if (std::strcmp(argv[arg], "--live") == 0) {
       cfg.live = true;
       ++arg;
     } else if (std::strcmp(argv[arg], "--heartbeat-ms") == 0 &&
                arg + 1 < argc) {
-      cfg.heartbeat_interval_ms =
-          static_cast<std::uint32_t>(std::strtoul(argv[arg + 1], nullptr, 10));
+      if (!parse_number(argv[arg + 1], cfg.heartbeat_interval_ms)) {
+        return usage();
+      }
       arg += 2;
     } else if (std::strcmp(argv[arg], "--checkpoint-ms") == 0 &&
                arg + 1 < argc) {
-      cfg.checkpoint_interval_ms =
-          static_cast<std::uint32_t>(std::strtoul(argv[arg + 1], nullptr, 10));
+      if (!parse_number(argv[arg + 1], cfg.checkpoint_interval_ms)) {
+        return usage();
+      }
       arg += 2;
     } else if (std::strcmp(argv[arg], "--sink") == 0 && arg + 1 < argc) {
       cfg.sink = argv[arg + 1];
       arg += 2;
     } else if (std::strcmp(argv[arg], "--threads") == 0 && arg + 1 < argc) {
-      par::set_threads(
-          static_cast<std::size_t>(std::strtoul(argv[arg + 1], nullptr, 10)));
+      std::size_t threads = 0;
+      if (!parse_number(argv[arg + 1], threads)) return usage();
+      par::set_threads(threads);
       arg += 2;
     } else {
       return usage();
@@ -473,8 +504,7 @@ int main(int argc, char** argv) {
             ++arg;
           } else if (std::strcmp(argv[arg], "--poll-ms") == 0 &&
                      arg + 1 < argc) {
-            poll_ms = static_cast<int>(std::strtol(argv[arg + 1], nullptr, 10));
-            if (poll_ms < 1) poll_ms = 1;
+            if (!parse_number(argv[arg + 1], poll_ms, 1)) return usage();
             arg += 2;
           } else {
             return usage();
@@ -495,24 +525,25 @@ int main(int argc, char** argv) {
             arg += 2;
           } else if (std::strcmp(argv[arg], "--range") == 0 &&
                      arg + 1 < argc) {
-            const char* spec = argv[arg + 1];
-            char* colon = nullptr;
-            dopts.t0 = std::strtoll(spec, &colon, 10);
-            if (colon == nullptr || *colon != ':') {
-              std::fprintf(stderr, "--range wants t0:t1 (got '%s')\n", spec);
+            const std::string spec = argv[arg + 1];
+            const std::size_t colon = spec.find(':');
+            if (colon == std::string::npos ||
+                !parse_number(spec.substr(0, colon).c_str(), dopts.t0) ||
+                !parse_number(spec.substr(colon + 1).c_str(), dopts.t1)) {
+              std::fprintf(stderr, "--range wants t0:t1 (got '%s')\n",
+                           spec.c_str());
               return 2;
             }
-            dopts.t1 = std::strtoll(colon + 1, nullptr, 10);
             arg += 2;
           } else if (std::strcmp(argv[arg], "--max") == 0 && arg + 1 < argc) {
-            dopts.max_events = std::strtoul(argv[arg + 1], nullptr, 10);
+            if (!parse_number(argv[arg + 1], dopts.max_events)) return usage();
             arg += 2;
           } else if (std::strncmp(argv[arg], "--", 2) != 0) {
             if (positional_kind) {
               dopts.kind = argv[arg];
               positional_kind = false;
             } else {
-              dopts.max_events = std::strtoul(argv[arg], nullptr, 10);
+              if (!parse_number(argv[arg], dopts.max_events)) return usage();
             }
             ++arg;
           } else {
@@ -571,8 +602,7 @@ int main(int argc, char** argv) {
     std::uint16_t port = 0;  // ephemeral by default
     while (arg < argc) {
       if (std::strcmp(argv[arg], "--port") == 0 && arg + 1 < argc) {
-        port = static_cast<std::uint16_t>(
-            std::strtoul(argv[arg + 1], nullptr, 10));
+        if (!parse_number(argv[arg + 1], port)) return usage();
         arg += 2;
       } else if (std::strcmp(argv[arg], "--archive") == 0 &&
                  arg + 1 < argc) {
@@ -604,7 +634,9 @@ int main(int argc, char** argv) {
         arg += 2;
       } else if (std::strcmp(argv[arg], "--ingest-wall-ms") == 0 &&
                  arg + 1 < argc) {
-        ingest_wall_ms = std::strtoll(argv[arg + 1], nullptr, 10);
+        if (!parse_number<std::int64_t>(argv[arg + 1], ingest_wall_ms, -1)) {
+          return usage();
+        }
         arg += 2;
       } else if (std::strcmp(argv[arg], "--json") == 0) {
         json_out = true;
@@ -649,12 +681,13 @@ int main(int argc, char** argv) {
         explicit_root = argv[arg + 1];
         arg += 2;
       } else if (std::strcmp(argv[arg], "--window") == 0 && arg + 1 < argc) {
-        ropts.baseline_window = static_cast<std::size_t>(
-            std::strtoul(argv[arg + 1], nullptr, 10));
+        if (!parse_number(argv[arg + 1], ropts.baseline_window)) return usage();
         arg += 2;
       } else if (std::strcmp(argv[arg], "--benefit-pct") == 0 &&
                  arg + 1 < argc) {
-        ropts.benefit_drift_pct = std::strtod(argv[arg + 1], nullptr);
+        if (!parse_number(argv[arg + 1], ropts.benefit_drift_pct, 0.0)) {
+          return usage();
+        }
         arg += 2;
       } else if (std::strcmp(argv[arg], "--json") == 0) {
         json_out = true;
@@ -715,16 +748,18 @@ int main(int argc, char** argv) {
     std::int64_t footer_wall_ms = 0;
     while (arg < argc) {
       if (std::strcmp(argv[arg], "--events") == 0 && arg + 1 < argc) {
-        sopts.events = std::strtoull(argv[arg + 1], nullptr, 10);
+        if (!parse_number(argv[arg + 1], sopts.events)) return usage();
         arg += 2;
       } else if (std::strcmp(argv[arg], "--problem-sites") == 0 &&
                  arg + 1 < argc) {
-        sopts.problem_sites = static_cast<std::uint32_t>(
-            std::strtoul(argv[arg + 1], nullptr, 10));
+        if (!parse_number(argv[arg + 1], sopts.problem_sites)) return usage();
         arg += 2;
       } else if (std::strcmp(argv[arg], "--op-spacing-ns") == 0 &&
                  arg + 1 < argc) {
-        sopts.op_spacing_ns = std::strtoll(argv[arg + 1], nullptr, 10);
+        if (!parse_number<std::int64_t>(argv[arg + 1], sopts.op_spacing_ns,
+                                      0)) {
+          return usage();
+        }
         arg += 2;
       } else if (std::strcmp(argv[arg], "--workload") == 0 &&
                  arg + 1 < argc) {
@@ -732,7 +767,10 @@ int main(int argc, char** argv) {
         arg += 2;
       } else if (std::strcmp(argv[arg], "--footer-wall-ms") == 0 &&
                  arg + 1 < argc) {
-        footer_wall_ms = std::strtoll(argv[arg + 1], nullptr, 10);
+        // -1 stamps the real clock (SaveOptions::footer_wall_ms).
+        if (!parse_number<std::int64_t>(argv[arg + 1], footer_wall_ms, -1)) {
+          return usage();
+        }
         arg += 2;
       } else {
         return usage();
@@ -768,25 +806,25 @@ int main(int argc, char** argv) {
     std::uint16_t http_port = 0;  // ephemeral by default
     while (arg < argc) {
       if (std::strcmp(argv[arg], "--port") == 0 && arg + 1 < argc) {
-        hopts.port = static_cast<std::uint16_t>(
-            std::strtoul(argv[arg + 1], nullptr, 10));
+        if (!parse_number(argv[arg + 1], hopts.port)) return usage();
         arg += 2;
       } else if (std::strcmp(argv[arg], "--http-port") == 0 &&
                  arg + 1 < argc) {
-        http_port = static_cast<std::uint16_t>(
-            std::strtoul(argv[arg + 1], nullptr, 10));
+        if (!parse_number(argv[arg + 1], http_port)) return usage();
         arg += 2;
       } else if (std::strcmp(argv[arg], "--max-clients") == 0 &&
                  arg + 1 < argc) {
-        hopts.max_clients = static_cast<std::size_t>(
-            std::strtoul(argv[arg + 1], nullptr, 10));
+        if (!parse_number(argv[arg + 1], hopts.max_clients)) return usage();
         arg += 2;
       } else if (std::strcmp(argv[arg], "--spool") == 0 && arg + 1 < argc) {
         hopts.spool_dir = argv[arg + 1];
         arg += 2;
       } else if (std::strcmp(argv[arg], "--ingest-wall-ms") == 0 &&
                  arg + 1 < argc) {
-        hopts.ingest_wall_ms = std::strtoll(argv[arg + 1], nullptr, 10);
+        if (!parse_number<std::int64_t>(argv[arg + 1], hopts.ingest_wall_ms,
+                                      -1)) {
+          return usage();
+        }
         arg += 2;
       } else {
         return usage();
@@ -837,8 +875,7 @@ int main(int argc, char** argv) {
         copts.host = argv[arg + 1];
         arg += 2;
       } else if (std::strcmp(argv[arg], "--port") == 0 && arg + 1 < argc) {
-        copts.port = static_cast<std::uint16_t>(
-            std::strtoul(argv[arg + 1], nullptr, 10));
+        if (!parse_number(argv[arg + 1], copts.port)) return usage();
         arg += 2;
       } else if (std::strcmp(argv[arg], "--workload") == 0 &&
                  arg + 1 < argc) {
@@ -883,17 +920,17 @@ int main(int argc, char** argv) {
     }
     while (arg < argc) {
       if (std::strcmp(argv[arg], "--seed") == 0 && arg + 1 < argc) {
-        opts.seed = std::strtoull(argv[arg + 1], nullptr, 10);
+        if (!parse_number(argv[arg + 1], opts.seed)) return usage();
         arg += 2;
       } else if (std::strcmp(argv[arg], "--budget-s") == 0 && arg + 1 < argc) {
-        opts.budget_s = std::strtod(argv[arg + 1], nullptr);
+        if (!parse_number(argv[arg + 1], opts.budget_s, 0.0)) return usage();
         arg += 2;
       } else if (std::strcmp(argv[arg], "--corpus") == 0 && arg + 1 < argc) {
         opts.corpus_dir = argv[arg + 1];
         arg += 2;
       } else if (std::strcmp(argv[arg], "--max-execs") == 0 &&
                  arg + 1 < argc) {
-        opts.max_execs = std::strtoull(argv[arg + 1], nullptr, 10);
+        if (!parse_number(argv[arg + 1], opts.max_execs)) return usage();
         arg += 2;
       } else if (std::strcmp(argv[arg], "--target") == 0 && arg + 1 < argc) {
         opts.target = argv[arg + 1];
@@ -988,14 +1025,20 @@ int main(int argc, char** argv) {
   }
   if (command == "folds") return cmd_folds(r);
   if (command == "seq") {
-    if (arg >= argc) return usage();
-    return cmd_seq(r, std::strtoul(argv[arg], nullptr, 10));
+    std::size_t n = 0;
+    if (arg >= argc || !parse_number(argv[arg], n)) return usage();
+    return cmd_seq(r, n);
   }
   if (command == "sub") {
-    if (arg + 2 >= argc) return usage();
-    return cmd_sub(r, std::strtoul(argv[arg], nullptr, 10),
-                   std::strtoul(argv[arg + 1], nullptr, 10),
-                   std::strtoul(argv[arg + 2], nullptr, 10));
+    std::size_t n = 0;
+    std::size_t first = 0;
+    std::size_t last = 0;
+    if (arg + 2 >= argc || !parse_number(argv[arg], n) ||
+        !parse_number(argv[arg + 1], first) ||
+        !parse_number(argv[arg + 2], last)) {
+      return usage();
+    }
+    return cmd_sub(r, n, first, last);
   }
   if (command == "fixes") {
     const auto recs = ffm::recommend_fixes(r);

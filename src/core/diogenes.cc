@@ -85,6 +85,8 @@ AnalysisResult run_analysis(const evstore::TraceRun& run,
     auto& m = obs::Telemetry::global().metrics();
     m.counter("stage5.analyses").inc();
     m.gauge("stage5.graph_nodes").set(static_cast<std::int64_t>(r.graph.size()));
+    m.gauge("stage5.graph_bytes")
+        .set(static_cast<std::int64_t>(r.graph.memory_bytes()));
     m.gauge("stage5.problematic_nodes")
         .set(static_cast<std::int64_t>(r.graph.problematic_indices().size()));
     m.gauge("stage5.benefit_ns").set(r.benefit.total.count());

@@ -23,36 +23,48 @@ ExecutionGraph::ExecutionGraph(std::vector<Node> nodes, Duration exec_time,
     : nodes_(std::move(nodes)),
       exec_time_(exec_time),
       store_(std::move(store)) {
-  const std::size_t n = nodes_.size();
-  next_sync_.resize(n);
-  std::size_t next = n;
-  for (std::size_t i = n; i-- > 0;) {
-    next_sync_[i] = next;
-    if (nodes_[i].is_sync_node()) next = i;
-  }
-  work_prefix_.resize(n + 1);
   Duration work{0};
-  for (std::size_t i = 0; i < n; ++i) {
-    work_prefix_[i] = work;
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
     const Node& node = nodes_[i];
-    if (!node.is_sync_node()) work += node.duration;
+    if (node.is_sync_node()) {
+      syncs_.push_back(i);
+      sync_work_.push_back(work);
+    } else {
+      work += node.duration;
+    }
     if (node.is_problematic()) problems_.push_back(i);
   }
-  work_prefix_[n] = work;
+  total_work_ = work;
 }
 
 std::optional<std::size_t> ExecutionGraph::next_sync_after(
     std::size_t i) const {
-  if (i >= nodes_.size() || next_sync_[i] == nodes_.size()) {
-    return std::nullopt;
+  const auto it = std::upper_bound(syncs_.begin(), syncs_.end(), i);
+  if (it == syncs_.end()) return std::nullopt;
+  return *it;
+}
+
+Duration ExecutionGraph::work_before(std::size_t i) const {
+  if (i == nodes_.size()) return total_work_;
+  // The last CWait at or before i; the nodes after it up to i are all
+  // non-sync, so its stored prefix plus their durations is exact.
+  const auto it = std::upper_bound(syncs_.begin(), syncs_.end(), i);
+  std::size_t from = 0;
+  Duration work{0};
+  if (it != syncs_.begin()) {
+    const auto k = static_cast<std::size_t>(it - syncs_.begin()) - 1;
+    from = syncs_[k] + 1;
+    work = sync_work_[k];
+    if (syncs_[k] == i) return work;
   }
-  return next_sync_[i];
+  for (std::size_t j = from; j < i; ++j) work += nodes_[j].duration;
+  return work;
 }
 
 Duration ExecutionGraph::work_between(std::size_t a, std::size_t b) const {
   DIOG_CHECK(a <= b && b <= nodes_.size(), "bad work_between range");
   if (b <= a + 1) return Duration{0};
-  return work_prefix_[b] - work_prefix_[a + 1];
+  return work_before(b) - work_before(a + 1);
 }
 
 const trace::Frame* ExecutionGraph::leaf(const Node& n) const {
@@ -66,26 +78,11 @@ Duration ExecutionGraph::total_duration() const {
   return sum;
 }
 
-json::Value ExecutionGraph::to_json() const {
-  json::Array arr;
-  arr.reserve(nodes_.size());
-  for (const Node& n : nodes_) {
-    json::Object o;
-    o["type"] = std::string(to_string(n.type));
-    o["stime_ns"] = static_cast<std::int64_t>(n.stime.count());
-    o["duration_ns"] = duration_to_json(n.duration);
-    o["problem"] = std::string(to_string(n.problem));
-    o["first_use_time_ns"] = duration_to_json(n.first_use_time);
-    o["op_index"] = n.op_index;
-    if (n.api != hooks::Fn::kCount_) {
-      o["api"] = std::string(hooks::fn_name(n.api));
-    }
-    arr.emplace_back(std::move(o));
-  }
-  json::Object root;
-  root["exec_time_ns"] = duration_to_json(exec_time_);
-  root["nodes"] = std::move(arr);
-  return json::Value(std::move(root));
+std::uint64_t ExecutionGraph::memory_bytes() const {
+  return nodes_.capacity() * sizeof(Node) +
+         problems_.capacity() * sizeof(std::size_t) +
+         syncs_.capacity() * sizeof(std::size_t) +
+         sync_work_.capacity() * sizeof(Duration);
 }
 
 ExecutionGraph build_graph(const evstore::TraceRun& run,
@@ -112,25 +109,35 @@ ExecutionGraph build_graph(const evstore::TraceRun& run,
   nodes.reserve(store.count_of(ev::EventKind::kOp) * 2 + 2);
   TimePoint cursor{0};
 
+  // Read only the eight columns the graph needs, not whole events.
+  const auto& col_flags = store.col_flags();
+  const auto& col_t_start = store.col_t_start();
+  const auto& col_t_end = store.col_t_end();
+  const auto& col_aux_time = store.col_aux_time();
+  const auto& col_gpu_time = store.col_gpu_time();
+  const auto& col_op_index = store.col_op_index();
+  const auto& col_api = store.col_api();
+  const auto& col_stack = store.col_stack();
   ev::Cursor op_cursor = ev::ops(store);
-  ev::Event op;
-  while (op_cursor.next(op)) {
-    const TimePoint t_enter{op.t_start};
-    const TimePoint t_exit{op.t_end};
-    const bool performed_transfer = op.has(ev::flag::kPerformedTransfer);
+  std::uint64_t row = 0;
+  while (op_cursor.next_row(row)) {
+    const std::uint32_t flags = col_flags.get(row);
+    const TimePoint t_enter{col_t_start.get(row)};
+    const TimePoint t_exit{col_t_end.get(row)};
+    const bool performed_transfer =
+        (flags & ev::flag::kPerformedTransfer) != 0;
     // Gap since the previous traced call: pure CPU work (subsumes
     // untraced calls).
     if (t_enter > cursor) {
       Node w;
       w.type = NType::kCWork;
-      w.stime = cursor;
       w.duration = t_enter - cursor;
       nodes.push_back(w);
     }
 
     const Duration call = t_exit - t_enter;
-    const Duration sync_wait{op.aux_time};
-    const Duration gpu_op{op.gpu_time};
+    const Duration sync_wait{col_aux_time.get(row)};
+    const Duration gpu_op{col_gpu_time.get(row)};
     Duration wait = sync_wait <= call ? sync_wait : call;
     // Paper §3.5.1: "The CLaunch event performs setup and initiates the
     // transfer while the GWait event waits for the transfer to
@@ -143,35 +150,33 @@ ExecutionGraph build_graph(const evstore::TraceRun& run,
     }
     const Duration launch_part = call - wait;
 
+    const std::uint64_t op_index = col_op_index.get(row);
     Node provenance;
-    provenance.op_index = static_cast<std::int64_t>(op.op_index);
-    provenance.api = op.fn();
-    provenance.stack = op.stack;
-    provenance.bytes = op.bytes;
+    provenance.op_index = static_cast<std::int64_t>(op_index);
+    provenance.api = static_cast<hooks::Fn>(col_api.get(row));
+    provenance.stack = col_stack.get(row);
 
     // The non-blocked portion: setup + submission (CLaunch).
     if (launch_part > Duration{0} || performed_transfer) {
       Node l = provenance;
       l.type = NType::kCLaunch;
-      l.stime = t_enter;
       l.duration = launch_part;
-      if (dup.contains(op.op_index)) {
+      if (dup.contains(op_index)) {
         l.problem = ProblemType::kUnnecessaryTransfer;
       }
       nodes.push_back(l);
     }
 
     // The blocked portion (CWait) for synchronizing calls.
-    if (op.has(ev::flag::kPerformedSync)) {
+    if ((flags & ev::flag::kPerformedSync) != 0) {
       Node s = provenance;
       s.type = NType::kCWait;
-      s.stime = t_enter + launch_part;
       s.duration = wait;
-      const auto cls = sync_required.find(op.op_index);
+      const auto cls = sync_required.find(op_index);
       if (cls != sync_required.end() && !cls->second) {
         s.problem = ProblemType::kUnnecessarySync;
       } else {
-        const auto fu = first_use.find(op.op_index);
+        const auto fu = first_use.find(op_index);
         if (fu != first_use.end()) {
           s.first_use_time = fu->second;
           if (fu->second > misplaced_threshold) {
@@ -189,7 +194,6 @@ ExecutionGraph build_graph(const evstore::TraceRun& run,
   if (exec_time > cursor) {
     Node w;
     w.type = NType::kCWork;
-    w.stime = cursor;
     w.duration = exec_time - cursor;
     nodes.push_back(w);
   }
@@ -197,7 +201,6 @@ ExecutionGraph build_graph(const evstore::TraceRun& run,
   // Terminal join with the device at program exit.
   Node exit_node;
   exit_node.type = NType::kCWait;
-  exit_node.stime = exec_time;
   exit_node.duration = Duration{0};
   nodes.push_back(exit_node);
 

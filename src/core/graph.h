@@ -4,9 +4,11 @@
 // its key insight is that the expected-benefit estimate needs only the
 // CPU side ("an effective estimate ... can be made with only the CPU
 // graph"). The CPU side is a chain of nodes in time order, each carrying
-// the paper's attributes (NType, STime, Problem, FirstUseTime) plus the
-// label of its out-edge to the next CPU node (Duration) — in a chain,
-// OutCPUEdge(N).duration is simply N.duration.
+// the paper's attributes (NType, Problem, FirstUseTime) plus the label of
+// its out-edge to the next CPU node (Duration) — in a chain,
+// OutCPUEdge(N).duration is simply N.duration. STime is not stored: the
+// chain is gap-free from t = 0, so a node's STime is the sum of the
+// durations before it, and Figure 5 never reads it.
 //
 // Construction from a stage-2 trace:
 //   * each traced call contributes a CLaunch node for its non-blocked
@@ -42,9 +44,7 @@ struct Node {
   hooks::Fn api = hooks::Fn::kCount_;
   evstore::StackId stack = evstore::kEmptyStack;
   std::int64_t op_index = -1;
-  std::uint64_t bytes = 0;
 
-  TimePoint stime{0};
   Duration duration{0};  // the out-CPU-edge label
   Duration first_use_time{0};
 
@@ -54,11 +54,16 @@ struct Node {
   }
 };
 static_assert(std::is_trivially_copyable_v<Node>);
+// The 1M-event run builds ~2M nodes; at this size they are 63 MB of
+// fresh pages, and touching those pages is most of build_graph's cost.
+static_assert(sizeof(Node) == 32);
 
-// Immutable once built. Construction precomputes what Figure 5 asks of
-// the chain — the problem list, each node's next synchronization and a
-// prefix sum of CWork + CLaunch durations — so the queries below are
-// O(1) and a replay (benefit.h) never needs a copy of the nodes.
+// Immutable once built. One forward pass of the constructor precomputes
+// what Figure 5 asks of the chain: the problem list and a per-sync index
+// (each CWait's position and the CWork + CLaunch work before it). The
+// index costs 16 bytes per CWait — never more than the two 8-byte
+// per-node arrays it replaces — and a replay (benefit.h) never needs a
+// copy of the nodes.
 class ExecutionGraph {
  public:
   ExecutionGraph() = default;
@@ -73,12 +78,16 @@ class ExecutionGraph {
 
   // GetNextSyncNode(Node): index of the next CWait node strictly after
   // `i`, or nullopt (callers treat program exit as an implicit join).
+  // O(log syncs).
   [[nodiscard]] std::optional<std::size_t> next_sync_after(
       std::size_t i) const;
 
   // SumDuration(CPUNodesBetween(a, b, CLaunch|CWork)): total duration of
   // the non-waiting nodes strictly between indices a and b — the paper's
-  // upper bound on how much GPU idle time can contract.
+  // upper bound on how much GPU idle time can contract. Exact for any
+  // a <= b <= size(); each end costs O(log syncs) plus the nodes between
+  // it and the last CWait at or before it, so a (sync, next sync) range
+  // — the only one Figure 5 asks for — costs O(log syncs).
   [[nodiscard]] Duration work_between(std::size_t a, std::size_t b) const;
 
   // Indices of the problematic nodes, ascending.
@@ -92,13 +101,18 @@ class ExecutionGraph {
   // The innermost frame of `n`'s stack, or nullptr when it has none.
   [[nodiscard]] const trace::Frame* leaf(const Node& n) const;
 
-  [[nodiscard]] json::Value to_json() const;
+  // Heap bytes the graph holds: nodes, problem list and sync index.
+  [[nodiscard]] std::uint64_t memory_bytes() const;
 
  private:
+  // CWork + CLaunch work before index i (i <= size()).
+  [[nodiscard]] Duration work_before(std::size_t i) const;
+
   std::vector<Node> nodes_;
   std::vector<std::size_t> problems_;
-  std::vector<std::size_t> next_sync_;  // size() when no CWait follows
-  std::vector<Duration> work_prefix_;   // work before index i; size() + 1
+  std::vector<std::size_t> syncs_;   // CWait indices, ascending
+  std::vector<Duration> sync_work_;  // work before syncs_[k]
+  Duration total_work_{0};           // work of the whole chain
   Duration exec_time_{0};
   std::shared_ptr<const evstore::EventStore> store_;
 };

@@ -139,7 +139,7 @@ bool Cursor::fill_block(std::uint64_t n) {
   return true;
 }
 
-bool Cursor::next(Event& out) {
+bool Cursor::next_row(std::uint64_t& row) {
   const std::uint64_t n = std::min(store_->size(), end_);
   while (pos_ < n) {
     if (pos_ < mask_base_ || pos_ >= mask_end_) {
@@ -159,7 +159,7 @@ bool Cursor::next(Event& out) {
     const std::uint64_t i = mask_base_ + (static_cast<std::uint64_t>(w) << 6) +
                             static_cast<std::uint64_t>(std::countr_zero(word));
     pos_ = i + 1;
-    out = store_->event(i);
+    row = i;
     return true;
   }
   return false;

@@ -13,8 +13,9 @@
 // slice (blocks never straddle segments, so every slice is contiguous),
 // writing 0/1 bytes that are then packed into a 64-words-of-64 match
 // bitmask. The loops carry no data-dependent branches, so the compiler
-// auto-vectorizes them; next() just walks set bits, and count() adds
-// popcounts without materializing events at all.
+// auto-vectorizes them; next_row() just walks set bits, next() adds the
+// Event materialization, and count() adds popcounts without
+// materializing events at all.
 #pragma once
 
 #include <cstdint>
@@ -75,8 +76,18 @@ class Cursor {
   }
 
   // --- Iteration ----------------------------------------------------------
-  // Advances to the next matching row; returns false at end-of-store.
-  bool next(Event& out);
+  // Advances to the next matching row and stores its index (into the
+  // resident window) in `row`; returns false at end-of-store. Callers
+  // that need only a few fields read them with store.col_*().get(row)
+  // instead of materializing the whole Event.
+  bool next_row(std::uint64_t& row);
+  // next_row plus store.event(row).
+  bool next(Event& out) {
+    std::uint64_t row = 0;
+    if (!next_row(row)) return false;
+    out = store_->event(row);
+    return true;
+  }
   void reset() {
     pos_ = begin_;
     mask_base_ = mask_end_ = 0;

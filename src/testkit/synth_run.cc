@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "support/error.h"
 #include "trace/callstack.h"
 
 namespace diog::testkit {
@@ -20,6 +21,8 @@ constexpr std::uint64_t kInstancesPerSite = 16;
 }  // namespace
 
 ev::TraceRun make_synthetic_run(const SynthRunOptions& opts) {
+  // Ops start at i * spacing; a negative spacing would run time backwards.
+  DIOG_CHECK(opts.op_spacing_ns >= 0, "op_spacing_ns must be >= 0");
   ev::TraceRun run;
   run.meta.workload = "synthetic";
   run.meta.wait_fn = hooks::Fn::kCudaDeviceSynchronize;

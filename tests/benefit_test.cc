@@ -35,12 +35,7 @@ Node wait(Duration d, ProblemType p = ProblemType::kNone,
 
 ExecutionGraph make_graph(std::vector<Node> nodes) {
   Duration total{0};
-  TimePoint t{0};
-  for (Node& n : nodes) {
-    n.stime = t;
-    t += n.duration;
-    total += n.duration;
-  }
+  for (const Node& n : nodes) total += n.duration;
   return ExecutionGraph(std::move(nodes), total);
 }
 

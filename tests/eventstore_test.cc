@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <random>
 #include <thread>
@@ -370,6 +371,72 @@ TEST(Cursor, PushdownSkipsWholeSegments) {
   Cursor no_match = Cursor(store).kind(EventKind::kPageFault);
   EXPECT_EQ(no_match.count(), 0u);
   EXPECT_EQ(no_match.segments_skipped(), 2u);
+}
+
+// next_row() is the bit walk next() is built on: under every predicate
+// and row limit it must yield exactly the rows next() materializes, and
+// those must be the rows a brute-force scan selects.
+TEST(Cursor, NextRowYieldsTheRowsNextYields) {
+  EventStore store;
+  const std::uint64_t n = 2 * kSegmentRows + 5000;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    Event e = op_event(i, static_cast<std::int64_t>(i * 3),
+                       static_cast<std::int64_t>(i * 3 + 2),
+                       i % 3 == 0 ? hooks::Fn::kCudaFree
+                                  : hooks::Fn::kCudaMemcpy);
+    if (i % 7 == 0) e.kind = EventKind::kSyncUse;
+    // Segment 1 holds no syncs, so the flag probe skips it whole.
+    if (i % 5 == 0 && i / kSegmentRows != 1) e.set(flag::kPerformedSync);
+    store.append(e);
+  }
+
+  struct Case {
+    const char* name;
+    std::function<Cursor()> make;
+    std::function<bool(std::uint64_t)> want;
+  };
+  const auto ev = [&](std::uint64_t r) { return store.event(r); };
+  const std::int64_t t_lo = 3 * 70'000;
+  const std::int64_t t_hi = 3 * 140'000;
+  const std::vector<Case> cases = {
+      {"all", [&] { return Cursor(store); },
+       [](std::uint64_t) { return true; }},
+      {"kind", [&] { return ops(store); },
+       [&](std::uint64_t r) { return ev(r).kind == EventKind::kOp; }},
+      {"api", [&] { return Cursor(store).api(hooks::Fn::kCudaFree); },
+       [&](std::uint64_t r) { return ev(r).fn() == hooks::Fn::kCudaFree; }},
+      {"flags",
+       [&] { return Cursor(store).flags_all(flag::kPerformedSync); },
+       [&](std::uint64_t r) { return ev(r).has(flag::kPerformedSync); }},
+      {"time",
+       [&] { return Cursor(store).t_start_at_least(t_lo).t_start_below(t_hi); },
+       [&](std::uint64_t r) {
+         return ev(r).t_start >= t_lo && ev(r).t_start < t_hi;
+       }},
+      {"limit_rows",
+       [&] { return ops(store).limit_rows(1000, kSegmentRows + 3000); },
+       [&](std::uint64_t r) {
+         return r >= 1000 && r < kSegmentRows + 3000 &&
+                ev(r).kind == EventKind::kOp;
+       }},
+  };
+
+  for (const Case& c : cases) {
+    std::vector<std::uint64_t> want;
+    for (std::uint64_t r = 0; r < n; ++r) {
+      if (c.want(r)) want.push_back(r);
+    }
+    std::vector<std::uint64_t> rows;
+    Cursor by_row = c.make();
+    for (std::uint64_t r = 0; by_row.next_row(r);) rows.push_back(r);
+    std::vector<std::uint64_t> materialized;
+    Cursor by_event = c.make();
+    for (Event e; by_event.next(e);) materialized.push_back(e.op_index);
+    EXPECT_EQ(rows, want) << c.name;
+    EXPECT_EQ(materialized, want) << c.name;
+    EXPECT_EQ(by_row.segments_skipped(), by_event.segments_skipped())
+        << c.name;
+  }
 }
 
 // ---------------------------------------------------------------------------

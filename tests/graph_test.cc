@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <random>
+
 #include "core/graph.h"
 #include "core/run_convert.h"
 
@@ -206,15 +209,67 @@ TEST(GraphQueries, ProblematicIndices) {
             (std::vector<std::size_t>{0, 2}));
 }
 
-TEST(GraphJson, ExportContainsNodes) {
-  Stage2Result s2;
-  s2.exec_time = ms(5);
-  s2.ops.push_back(make_op(0, Fn::kCudaFree, TimePoint{ms(1)},
-                           TimePoint{ms(2)}, us(900), true, false));
-  const ExecutionGraph g = build_graph(build_run("t", {}, s2, {}, {}), us(50));
-  const json::Value v = g.to_json();
-  EXPECT_EQ(v.at("exec_time_ns").as_int(), ms(5).count());
-  EXPECT_GE(v.at("nodes").size(), 3u);
+// The per-sync index against a brute-force scan of the chain, on random
+// chains that include the empty graph, chains with no CWait and chains
+// ending in non-sync nodes.
+TEST(GraphQueries, SyncIndexMatchesBruteForce) {
+  std::mt19937 rng(20191117);
+  std::vector<std::vector<Node>> chains;
+  chains.emplace_back();  // empty
+  for (int c = 0; c < 60; ++c) {
+    const std::size_t n = 1 + rng() % 40;
+    // A third of the chains carry no CWait at all; the rest a random
+    // density of them.
+    const unsigned sync_pct = c % 3 == 0 ? 0 : 5 + rng() % 60;
+    std::vector<Node> nodes(n);
+    for (Node& node : nodes) {
+      node.type = rng() % 100 < sync_pct
+                      ? NType::kCWait
+                      : (rng() % 2 == 0 ? NType::kCWork : NType::kCLaunch);
+      node.duration = us(static_cast<std::int64_t>(rng() % 1000));
+    }
+    // Every fourth chain ends with non-sync nodes after its last CWait.
+    if (c % 4 == 1) nodes.back().type = NType::kCWork;
+    chains.push_back(std::move(nodes));
+  }
+
+  for (const std::vector<Node>& nodes : chains) {
+    const ExecutionGraph g(nodes, ms(1));
+    const std::size_t n = nodes.size();
+    ASSERT_EQ(g.size(), n);
+    for (std::size_t i = 0; i <= n; ++i) {
+      std::optional<std::size_t> want;
+      for (std::size_t j = i + 1; j < n; ++j) {
+        if (nodes[j].is_sync_node()) {
+          want = j;
+          break;
+        }
+      }
+      EXPECT_EQ(g.next_sync_after(i), want) << "n=" << n << " i=" << i;
+    }
+    for (std::size_t a = 0; a <= n; ++a) {
+      for (std::size_t b = a; b <= n; ++b) {
+        Duration want{0};
+        for (std::size_t j = a + 1; j < b; ++j) {
+          if (!nodes[j].is_sync_node()) want += nodes[j].duration;
+        }
+        EXPECT_EQ(g.work_between(a, b), want)
+            << "n=" << n << " a=" << a << " b=" << b;
+      }
+    }
+  }
+}
+
+TEST(GraphQueries, MemoryBytesCoversNodesAndIndex) {
+  std::vector<Node> nodes(10);
+  nodes[3].type = NType::kCWait;
+  nodes[3].problem = ProblemType::kUnnecessarySync;
+  nodes[9].type = NType::kCWait;
+  const ExecutionGraph g(std::move(nodes), ms(1));
+  // 10 nodes, one problem, two syncs with their work prefixes.
+  EXPECT_GE(g.memory_bytes(), 10 * sizeof(Node) + 1 * sizeof(std::size_t) +
+                                  2 * (sizeof(std::size_t) + sizeof(Duration)));
+  EXPECT_EQ(ExecutionGraph().memory_bytes(), 0u);
 }
 
 }  // namespace

@@ -57,12 +57,7 @@ Node healthy_wait(Duration d = Duration{0}) {
 
 ExecutionGraph make_graph(std::vector<Node> nodes) {
   Duration total{0};
-  TimePoint t{0};
-  for (Node& n : nodes) {
-    n.stime = t;
-    t += n.duration;
-    total += n.duration;
-  }
+  for (const Node& n : nodes) total += n.duration;
   return ExecutionGraph(std::move(nodes), total, stack_store());
 }
 

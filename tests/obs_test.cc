@@ -9,6 +9,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -406,6 +407,29 @@ TEST(ObsTelemetry, AnalysisRecordsOneSpanPerStage5Phase) {
                           "stage5.build_graph", "stage5.expected_benefit",
                           "stage5.single_point", "stage5.folds",
                           "stage5.sequences"}));
+  t.reset();
+}
+
+TEST(ObsTelemetry, AnalysisGaugesGraphSizeAndFootprint) {
+  auto& t = Telemetry::global();
+  t.reset();
+  t.set_enabled(true);
+  const evstore::TraceRun run =
+      testkit::make_synthetic_run(testkit::SynthRunOptions{.events = 5000});
+  const ffm::AnalysisResult r = ffm::run_analysis(run, ffm::ToolConfig{});
+
+  std::map<std::string, std::int64_t> gauges;
+  for (const GaugeSnapshot& g : t.metrics().gauges()) gauges[g.name] = g.value;
+  if (!kCompiledIn) {
+    EXPECT_TRUE(gauges.empty());
+    return;
+  }
+  EXPECT_EQ(gauges.at("stage5.graph_nodes"),
+            static_cast<std::int64_t>(r.graph.size()));
+  EXPECT_EQ(gauges.at("stage5.graph_bytes"),
+            static_cast<std::int64_t>(r.graph.memory_bytes()));
+  EXPECT_GE(gauges.at("stage5.graph_bytes"),
+            static_cast<std::int64_t>(r.graph.size() * sizeof(ffm::Node)));
   t.reset();
 }
 

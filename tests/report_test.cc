@@ -43,12 +43,6 @@ AnalysisResult handmade_result() {
   Node terminal;
   terminal.type = NType::kCWait;
   nodes.push_back(terminal);
-
-  TimePoint t{0};
-  for (Node& n : nodes) {
-    n.stime = t;
-    t += n.duration;
-  }
   r.graph = ExecutionGraph(std::move(nodes), secs(10.0), r.run.store);
   r.benefit = expected_benefit(r.graph);
   r.single_points = single_point_groups(r.graph);
