@@ -17,7 +17,8 @@ MemSyncEngine::MemSyncEngine(gpusim::Runtime& rt, const ToolConfig& cfg,
       hash_transfers_(hash_transfers),
       probe_cost_(hash_transfers ? cfg.stage3_probe_cost
                                  : cfg.stage4_probe_cost),
-      tracer_(memtrace::PageTracer::instance()) {
+      tracer_(memtrace::PageTracer::instance()),
+      stats_at_start_(tracer_.stats()) {
   DIOG_CHECK(!tracer_.armed(), "page tracer left armed by a previous run");
   tracer_.unregister_all();
   tracer_.clear_accesses();
@@ -35,22 +36,16 @@ MemSyncEngine::MemSyncEngine(gpusim::Runtime& rt, const ToolConfig& cfg,
   };
   for (const Fn f : traced) rt_.hooks().attach(f, trace_probe);
 
-  // The guard: on any top-level driver entry, lift protection (the
-  // driver and kernel bodies may legally touch registered memory) and
-  // attribute the accesses recorded so far; re-arm on exit.
+  // The guard: every top-level driver call runs in a driver window of
+  // the tracer (the driver and kernel bodies may legally touch registered
+  // memory); entry attributes the accesses recorded so far.
   Probe guard;
   guard.on_entry = [this](const HookContext& ctx) {
     if (ctx.dispatch_depth != 1) return;
-    on_guard_entry();
+    on_guard_entry(ctx);
   };
   guard.on_exit = [this](const HookContext& ctx) {
     if (ctx.dispatch_depth != 1) return;
-    // Free of a tracked pointer invalidates its range.
-    if ((ctx.fn == Fn::kCudaFree || ctx.fn == Fn::kCudaFreeHost ||
-         ctx.fn == Fn::kPrivMemFree) &&
-        ctx.info->ptr != nullptr) {
-      forget_range(ctx.info->ptr);
-    }
     on_guard_exit();
   };
   rt_.hooks().attach_matching(
@@ -60,7 +55,7 @@ MemSyncEngine::MemSyncEngine(gpusim::Runtime& rt, const ToolConfig& cfg,
 
 MemSyncEngine::~MemSyncEngine() {
   if (!finished_) {
-    if (tracer_.armed()) tracer_.disarm();
+    tracer_.disarm();  // also closes a window an exception left open
     tracer_.unregister_all();
     tracer_.clear_accesses();
   }
@@ -72,27 +67,36 @@ void MemSyncEngine::finish() {
   drain_accesses();
   tracer_.unregister_all();
   tracer_.clear_accesses();
+  tracer_stats_ = tracer_.stats().since(stats_at_start_);
   finished_ = true;
 }
 
-void MemSyncEngine::on_guard_entry() {
-  if (tracer_.armed()) {
-    tracer_.disarm();
-    rt_.cpu_work(cfg_.memprotect_cost);
-  }
+void MemSyncEngine::on_guard_entry(const HookContext& ctx) {
+  tracer_.enter_driver();
+  if (tracer_.armed()) rt_.cpu_work(cfg_.memprotect_cost);
   drain_accesses();
+  // A free may hand the block back to the OS without touching it, after
+  // which its range could no longer be unprotected: forget it first.
+  if ((ctx.fn == Fn::kCudaFree || ctx.fn == Fn::kCudaFreeHost ||
+       ctx.fn == Fn::kPrivMemFree) &&
+      ctx.info->ptr != nullptr) {
+    forget_range(ctx.info->ptr);
+  }
 }
 
 void MemSyncEngine::on_guard_exit() {
-  if (!dirty_ranges_.empty() && !tracer_.armed()) {
-    tracer_.arm(/*expected_accesses=*/dirty_ranges_.size() + 16);
-    rt_.cpu_work(cfg_.memprotect_cost);
-  }
+  tracer_.leave_driver(/*expected_accesses=*/dirty_ranges_.size() + 16);
+  if (!dirty_ranges_.empty()) rt_.cpu_work(cfg_.memprotect_cost);
 }
 
 void MemSyncEngine::register_dirty_range(void* ptr, std::uint64_t bytes) {
   if (ptr == nullptr || bytes == 0) return;
-  if (dirty_ranges_.contains(ptr)) return;  // already dirty
+  if (dirty_ranges_.contains(ptr)) {
+    // Already dirty. Lift it anyway so leaving the window re-protects it,
+    // even if the app remapped the address since it was protected.
+    tracer_.lift(ptr, bytes);
+    return;
+  }
   const memtrace::RangeId id =
       tracer_.register_range(ptr, bytes, next_op_index_);
   dirty_ranges_.emplace(ptr, id);
@@ -107,7 +111,8 @@ void MemSyncEngine::forget_range(const void* ptr) {
 
 void MemSyncEngine::drain_accesses() {
   if (tracer_.accesses().empty()) return;
-  DIOG_CHECK(!tracer_.armed(), "draining accesses while armed");
+  DIOG_CHECK(!tracer_.armed() || tracer_.in_driver(),
+             "draining accesses while armed");
   for (const memtrace::AccessRecord& rec : tracer_.accesses()) {
     // Attribute the access to the most recent synchronization completed
     // before it: that sync is what made the access safe.
@@ -148,14 +153,16 @@ void MemSyncEngine::hash_transfer(const HookContext& ctx) {
   if (ctx.info->memcpy_kind == hooks::MemcpyKind::kHostToHost) return;
 
   // Hash the host-side view of the content: the source for H2D, the
-  // just-written destination for D2H. (We are inside the guard window,
-  // so protection is lifted.)
+  // just-written destination for D2H.
   const void* view = ctx.info->memcpy_kind == hooks::MemcpyKind::kHostToDevice
                          ? ctx.info->src
                          : ctx.info->dst;
   if (view == nullptr) return;
   const std::span<const std::byte> data{
       static_cast<const std::byte*>(view), ctx.info->bytes};
+  // Large views are hashed on pool workers; lift their protection here
+  // so the fault handler never runs on another thread.
+  tracer_.lift(view, ctx.info->bytes);
 
   const auto dir =
       ctx.info->memcpy_kind == hooks::MemcpyKind::kHostToDevice
@@ -183,7 +190,7 @@ void MemSyncEngine::hash_transfer(const HookContext& ctx) {
 }
 
 void MemSyncEngine::on_traced_exit(const HookContext& ctx) {
-  // (The guard entry already disarmed and drained.)
+  // (The guard entry already opened the driver window and drained.)
   if (hash_transfers_ && ctx.info->performed_transfer) {
     hash_transfer(ctx);
   }

@@ -8,9 +8,12 @@
 // memory tracing alone so the sync-to-first-use gaps are measured under
 // light instrumentation. This engine implements the common machinery:
 //
-//   * a guard probe on every driver entry point that lifts page
-//     protection while the driver (or a kernel body) may legally touch
-//     application memory, and re-arms on exit;
+//   * a guard probe on every driver entry point that runs the call in a
+//     driver window of the page tracer: ranges stay protected across
+//     calls, a range the driver (or a kernel body) touches is lifted
+//     without a record, and leaving the window re-protects only the
+//     lifted and newly registered ranges — so a call pays an mprotect
+//     only when it really touches traced memory;
 //   * registration of GPU-written host ranges (D2H transfer
 //     destinations) with the page tracer;
 //   * attribution of each recorded first-access to the most recent
@@ -53,8 +56,8 @@ class MemSyncEngine {
   MemSyncEngine(const MemSyncEngine&) = delete;
   MemSyncEngine& operator=(const MemSyncEngine&) = delete;
 
-  // Call after the workload body returns: drains remaining accesses and
-  // disarms the tracer.
+  // Call after the workload body returns: disarms the tracer and drains
+  // the remaining accesses.
   void finish();
 
   [[nodiscard]] const std::vector<SyncObservation>& syncs() const {
@@ -67,10 +70,14 @@ class MemSyncEngine {
     return transfers_hashed_;
   }
   [[nodiscard]] std::uint64_t bytes_hashed() const { return bytes_hashed_; }
+  // What the page tracer cost this run (valid after finish()).
+  [[nodiscard]] const memtrace::TracerStats& tracer_stats() const {
+    return tracer_stats_;
+  }
 
  private:
   void install_probes();
-  void on_guard_entry();
+  void on_guard_entry(const hooks::HookContext& ctx);
   void on_guard_exit();
   void on_traced_exit(const hooks::HookContext& ctx);
   void drain_accesses();
@@ -84,6 +91,8 @@ class MemSyncEngine {
   Duration probe_cost_;
 
   memtrace::PageTracer& tracer_;
+  memtrace::TracerStats stats_at_start_;
+  memtrace::TracerStats tracer_stats_;
   // Live dirty ranges: allocation start address -> tracer range id.
   std::unordered_map<const void*, memtrace::RangeId> dirty_ranges_;
 

@@ -40,6 +40,10 @@ Stage3Result run_stage3(const Workload& w, const ToolConfig& cfg,
     m.counter("stage3.runs").inc();
     m.counter("stage3.transfers_hashed").inc(result.transfers_hashed);
     m.counter("stage3.bytes_hashed").inc(result.bytes_hashed);
+    const memtrace::TracerStats& tracer = engine.tracer_stats();
+    m.counter("stage3.protect_calls").inc(tracer.protect_calls);
+    m.counter("stage3.driver_lifts").inc(tracer.driver_lifts);
+    m.counter("memtrace.ranges_unmapped").inc(tracer.ranges_unmapped);
     m.counter("stage3.duplicate_transfers")
         .inc(result.duplicate_transfers.size());
     std::size_t required = 0;

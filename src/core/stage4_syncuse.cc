@@ -35,6 +35,10 @@ Stage4Result run_stage4(const Workload& w, const ToolConfig& cfg,
     auto& m = obs::Telemetry::global().metrics();
     m.counter("stage4.runs").inc();
     m.counter("stage4.sync_uses").inc(result.uses.size());
+    const memtrace::TracerStats& tracer = engine.tracer_stats();
+    m.counter("stage4.protect_calls").inc(tracer.protect_calls);
+    m.counter("stage4.driver_lifts").inc(tracer.driver_lifts);
+    m.counter("memtrace.ranges_unmapped").inc(tracer.ranges_unmapped);
     auto& gap = m.histogram("stage4.first_use_gap");
     for (const SyncUse& u : result.uses) gap.record(u.first_use_time);
     stage_obs.finish(rt, result.exec_time, s1.exec_time);

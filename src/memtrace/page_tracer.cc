@@ -4,6 +4,7 @@
 #include <sys/mman.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstring>
 
 #include "support/error.h"
@@ -59,7 +60,7 @@ void PageTracer::install_handler() {
 
 RangeId PageTracer::register_range(void* ptr, std::size_t bytes,
                                    std::uint64_t user_tag) {
-  DIOG_CHECK(!armed_, "cannot register ranges while armed");
+  DIOG_CHECK(mutable_now(), "cannot register ranges while armed");
   DIOG_CHECK(ptr != nullptr && bytes > 0, "invalid range");
   install_handler();
   Range r;
@@ -73,8 +74,12 @@ RangeId PageTracer::register_range(void* ptr, std::size_t bytes,
 }
 
 void PageTracer::unregister_range(RangeId id) {
-  DIOG_CHECK(!armed_, "cannot unregister ranges while armed");
-  std::erase_if(ranges_, [id](const Range& r) { return r.id == id; });
+  DIOG_CHECK(mutable_now(), "cannot unregister ranges while armed");
+  std::erase_if(ranges_, [&](Range& r) {
+    if (r.id != id) return false;
+    if (r.protected_now) (void)set_protection(r, false);
+    return true;
+  });
 }
 
 void PageTracer::unregister_all() {
@@ -84,9 +89,25 @@ void PageTracer::unregister_all() {
 
 std::size_t PageTracer::range_count() const { return ranges_.size(); }
 
-void PageTracer::arm(std::size_t expected_accesses) {
-  DIOG_CHECK(!armed_, "already armed");
-  // Reserve before arming: the handler must never allocate.
+bool PageTracer::set_protection(Range& r, bool protect) {
+  void* const p = reinterpret_cast<void*>(r.begin);
+  const std::size_t len = r.end - r.begin;
+  ++stats_.protect_calls;
+  if (mprotect(p, len, protect ? PROT_NONE : PROT_READ | PROT_WRITE) == 0) {
+    r.protected_now = protect;
+    return true;
+  }
+  DIOG_CHECK(errno == ENOMEM, protect ? "mprotect(PROT_NONE) failed"
+                                      : "mprotect(PROT_READ|PROT_WRITE) failed");
+  // The app unmapped (part of) the range. Undo any change to a still
+  // mapped prefix; the caller drops the range.
+  if (protect) (void)mprotect(p, len, PROT_READ | PROT_WRITE);
+  ++stats_.ranges_unmapped;
+  return false;
+}
+
+void PageTracer::protect_unprotected(std::size_t expected_accesses) {
+  // Reserve before protecting: the handler must never allocate.
   if (accesses_.capacity() < accesses_.size() + expected_accesses) {
     accesses_.reserve(accesses_.size() + expected_accesses);
   }
@@ -94,28 +115,49 @@ void PageTracer::arm(std::size_t expected_accesses) {
   // a thread-exit destructor (__cxa_thread_atexit), which may allocate —
   // forbidden inside the SIGSEGV handler where handle_fault captures it.
   (void)trace::CallContext::current();
-  for (Range& r : ranges_) {
-    const int rc = mprotect(reinterpret_cast<void*>(r.begin), r.end - r.begin,
-                            PROT_NONE);
-    DIOG_CHECK(rc == 0, "mprotect(PROT_NONE) failed");
-    r.protected_now = true;
-  }
+  std::erase_if(ranges_, [&](Range& r) {
+    return !r.protected_now && !set_protection(r, true);
+  });
+}
+
+void PageTracer::arm(std::size_t expected_accesses) {
+  DIOG_CHECK(!armed_, "already armed");
+  protect_unprotected(expected_accesses);
   armed_ = true;
 }
 
 void PageTracer::disarm() {
-  for (Range& r : ranges_) {
-    if (!r.protected_now) continue;
-    const int rc = mprotect(reinterpret_cast<void*>(r.begin), r.end - r.begin,
-                            PROT_READ | PROT_WRITE);
-    DIOG_CHECK(rc == 0, "mprotect(PROT_READ|PROT_WRITE) failed");
-    r.protected_now = false;
-  }
+  std::erase_if(ranges_, [&](Range& r) {
+    return r.protected_now && !set_protection(r, false);
+  });
   armed_ = false;
+  in_driver_ = 0;
+}
+
+void PageTracer::enter_driver() {
+  DIOG_CHECK(!in_driver_, "driver windows do not nest");
+  in_driver_ = 1;
+}
+
+void PageTracer::leave_driver(std::size_t expected_accesses) {
+  DIOG_CHECK(in_driver_, "no driver window to leave");
+  if (!ranges_.empty()) protect_unprotected(expected_accesses);
+  armed_ = !ranges_.empty();
+  in_driver_ = 0;
+}
+
+void PageTracer::lift(const void* ptr, std::size_t bytes) {
+  DIOG_CHECK(in_driver_, "lift outside a driver window");
+  const auto a = reinterpret_cast<std::uintptr_t>(ptr);
+  std::erase_if(ranges_, [&](Range& r) {
+    if (!r.protected_now || a + bytes <= r.begin || a >= r.end) return false;
+    ++stats_.driver_lifts;
+    return !set_protection(r, false);
+  });
 }
 
 void PageTracer::clear_accesses() {
-  DIOG_CHECK(!armed_, "cannot clear the access log while armed");
+  DIOG_CHECK(mutable_now(), "cannot clear the access log while armed");
   accesses_.clear();
   dropped_ = 0;
 }
@@ -134,10 +176,13 @@ bool PageTracer::handle_fault(void* fault_addr, std::uintptr_t ip,
   for (Range& r : ranges_) {
     if (!r.protected_now || a < r.begin || a >= r.end) continue;
 
-    // Record the first access, then lift protection on the whole range
-    // so subsequent accesses run at full speed — stage 3/4 only need
-    // the FIRST touch after each synchronization.
-    if (accesses_.size() < accesses_.capacity()) {
+    // Inside a driver window the touch is the driver's: lift silently.
+    // Otherwise record the first access, then lift protection on the
+    // whole range so subsequent accesses run at full speed — stage 3/4
+    // only need the FIRST touch after each synchronization.
+    if (in_driver_) {
+      ++stats_.driver_lifts;
+    } else if (accesses_.size() < accesses_.capacity()) {
       AccessRecord rec;
       rec.range = r.id;
       rec.user_tag = r.user_tag;
@@ -152,6 +197,7 @@ bool PageTracer::handle_fault(void* fault_addr, std::uintptr_t ip,
       ++dropped_;
     }
 
+    ++stats_.protect_calls;
     mprotect(reinterpret_cast<void*>(r.begin), r.end - r.begin,
              PROT_READ | PROT_WRITE);
     r.protected_now = false;
@@ -173,7 +219,9 @@ void PageTracer::signal_handler(int sig, void* siginfo, void* ucontext) {
   (void)ucontext;
 #endif
 
+  const int saved_errno = errno;  // the handler's mprotect may set it
   if (PageTracer::instance().handle_fault(si->si_addr, ip, is_write)) {
+    errno = saved_errno;
     return;  // protection lifted; the faulting instruction retries
   }
 

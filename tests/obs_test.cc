@@ -15,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "apps/apps.h"
 #include "core/diogenes.h"
 #include "core/stage1_baseline.h"
 #include "core/stage2_tracing.h"
@@ -375,6 +376,29 @@ TEST(ObsTelemetry, StagesPopulateGlobalSession) {
     if (s.name == "stage2.run") stage2_span = true;
   }
   EXPECT_TRUE(stage2_span);
+  t.reset();
+}
+
+TEST(ObsTelemetry, CuibmStage3PaysProtectCallsOnlyForTouchedRanges) {
+  auto& t = Telemetry::global();
+  t.reset();
+  t.set_enabled(true);
+  const ffm::Workload w = apps::make_cuibm();
+  const ffm::ToolConfig cfg;
+  const ffm::Stage1Result s1 = ffm::run_stage1(w, cfg);
+  (void)ffm::run_stage3(w, cfg, s1);
+  if (!kCompiledIn) {
+    EXPECT_EQ(t.metrics().size(), 0u);
+    return;
+  }
+  // cuIBM makes ~15k top-level driver calls with its result buffers
+  // armed. Re-protecting every range around every call cost ~30k
+  // mprotects; the driver window pays only for ranges a call touches.
+  const std::uint64_t calls =
+      t.metrics().counter("stage3.protect_calls").value();
+  EXPECT_GT(calls, 0u);
+  EXPECT_LE(calls, 1000u);
+  EXPECT_GT(t.metrics().counter("stage3.driver_lifts").value(), 0u);
   t.reset();
 }
 
