@@ -7,14 +7,20 @@
 // touches unrelated data; this RAII helper provides that without going
 // through the runtime's allocator (so the runtime still classifies the
 // memory as pageable).
+//
+// The pages are a private anonymous mapping, released with munmap. A
+// heap free() may write its bookkeeping into the block's first page, and
+// the tracer would count that write as the app's first use of the data;
+// munmap never touches the pages. A fresh mapping is already zeroed.
 #pragma once
 
+#include <sys/mman.h>
 #include <unistd.h>
 
-#include <cstdlib>
-#include <cstring>
+#include <cstddef>
 #include <new>
 #include <span>
+#include <utility>
 
 namespace gpusim {
 
@@ -24,28 +30,27 @@ class HostBuffer {
   explicit HostBuffer(std::size_t count) : count_(count) {
     const auto ps = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
     const std::size_t bytes = count_ * sizeof(T);
-    const std::size_t padded = (bytes + ps - 1) / ps * ps;
-    data_ = static_cast<T*>(std::aligned_alloc(ps, padded > 0 ? padded : ps));
-    if (data_ == nullptr) throw std::bad_alloc();
-    std::memset(static_cast<void*>(data_), 0, padded > 0 ? padded : ps);
+    mapped_ = bytes > 0 ? (bytes + ps - 1) / ps * ps : ps;
+    void* p = mmap(nullptr, mapped_, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED) throw std::bad_alloc();
+    data_ = static_cast<T*>(p);
   }
 
-  ~HostBuffer() { std::free(data_); }
+  ~HostBuffer() { release(); }
 
   HostBuffer(const HostBuffer&) = delete;
   HostBuffer& operator=(const HostBuffer&) = delete;
   HostBuffer(HostBuffer&& other) noexcept
-      : data_(other.data_), count_(other.count_) {
-    other.data_ = nullptr;
-    other.count_ = 0;
-  }
+      : data_(std::exchange(other.data_, nullptr)),
+        count_(std::exchange(other.count_, 0)),
+        mapped_(std::exchange(other.mapped_, 0)) {}
   HostBuffer& operator=(HostBuffer&& other) noexcept {
     if (this != &other) {
-      std::free(data_);
-      data_ = other.data_;
-      count_ = other.count_;
-      other.data_ = nullptr;
-      other.count_ = 0;
+      release();
+      data_ = std::exchange(other.data_, nullptr);
+      count_ = std::exchange(other.count_, 0);
+      mapped_ = std::exchange(other.mapped_, 0);
     }
     return *this;
   }
@@ -60,8 +65,13 @@ class HostBuffer {
   [[nodiscard]] std::span<const T> span() const { return {data_, count_}; }
 
  private:
+  void release() {
+    if (data_ != nullptr) munmap(static_cast<void*>(data_), mapped_);
+  }
+
   T* data_ = nullptr;
   std::size_t count_ = 0;
+  std::size_t mapped_ = 0;  // bytes mapped: count_ * sizeof(T), page-padded
 };
 
 }  // namespace gpusim

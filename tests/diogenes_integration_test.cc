@@ -296,6 +296,20 @@ TEST(ExportJson, StageSectionsAreRunViewsAndSurviveReopen) {
   EXPECT_EQ(export_json(reopened).dump(), v.dump());
 }
 
+// Freeing a buffer is not a use of its data. cuIBM drops its residual
+// buffer unread after the last step's sync; when a heap free() wrote its
+// bookkeeping into the still-protected page, that write counted as the
+// sync's first use, and whether it happened depended on heap state.
+TEST(ExportJson, CuibmExportsIdenticalBytesAcrossAnalyses) {
+  const std::string first =
+      export_json(Diogenes(apps::make_cuibm()).analyze()).dump();
+  for (int i = 1; i < 5; ++i) {
+    EXPECT_EQ(export_json(Diogenes(apps::make_cuibm()).analyze()).dump(),
+              first)
+        << "analysis " << i;
+  }
+}
+
 // The execution time and overhead factor come from the run's metadata,
 // so a run that carries only stage times (no events) still reports them.
 TEST(RunAnalysis, TimesComeFromRunMeta) {
