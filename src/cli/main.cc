@@ -19,7 +19,8 @@
 //     fixes                 automatic-correction candidates (§6)
 //     compare               run nvprof_like/hpctoolkit_like alongside
 //     export <file.json>    write the full analysis as JSON
-//     stages <dir>          also persist per-stage JSON files to <dir>
+//     stages <dir>          overview, also saving the run as
+//                           <dir>/<workload>.dgtrace
 //     metrics               the tool's own telemetry: per-stage counters,
 //                           latency histograms, Table-2-style overhead
 //
@@ -35,6 +36,8 @@
 //   diogenes trace profile <file>                 per-API time summary
 //   diogenes trace analyze <file>                 full stage-5 analysis
 //   diogenes trace diff <before> <after>          differential analysis
+//   diogenes replay <dir> <workload> [command]    an analysis command over
+//                                                 <dir>/<workload>.dgtrace
 //
 // Fleet mode (the archive subsystem; see DESIGN.md "Archive"):
 //   diogenes archive add <trace-dir-or-file>   ingest finalized runs
@@ -100,7 +103,6 @@
 #include "core/autofix.h"
 #include "core/diogenes.h"
 #include "core/compare.h"
-#include "core/replay.h"
 #include "core/uvm_analysis.h"
 #include "core/report.h"
 #include "eventstore/run_io.h"
@@ -126,7 +128,8 @@ int usage() {
       "                [--trace-dir DIR] [--retain-mb N] [--retain-events N]\n"
       "                [--live] [--heartbeat-ms N] [--checkpoint-ms N]\n"
       "                [--threads N] <app> [command]\n"
-      "       diogenes replay <dir> <workload> [command]\n"
+      "       diogenes replay <dir> <workload> [command]  (reads\n"
+      "                       <dir>/<workload>.dgtrace)\n"
       "       diogenes trace stat|dump|profile|analyze <file.dgtrace>\n"
       "       diogenes trace dump <file> [--kind K] [--range t0:t1] [--max N]\n"
       "       diogenes trace tail <file> [--jsonl] [--poll-ms N] [--once]\n"
@@ -570,7 +573,8 @@ int main(int argc, char** argv) {
         return 0;
       }
       if (sub == "analyze" && arg < argc) {
-        const ffm::AnalysisResult res = ffm::analyze_run_file(argv[arg], cfg);
+        const ffm::AnalysisResult res =
+            ffm::run_analysis(evstore::open_run(argv[arg]), cfg);
         std::printf("%s", explore::render_explained_overview(res).c_str());
         std::printf("\ntotal estimated benefit: %s (%s of execution)\n",
                     format_seconds(res.benefit.total).c_str(),
@@ -958,16 +962,16 @@ int main(int argc, char** argv) {
   ffm::AnalysisResult r;
   std::string command;
   if (app_name == "replay") {
-    // Offline mode: re-run the analysis stage over a persisted binary
-    // run (preferred) or the per-stage JSON files — no application
-    // required.
+    // Offline mode: re-run the analysis stage over a saved run — no
+    // application required.
     if (arg + 1 >= argc) return usage();
     const std::string dir = argv[arg++];
     const std::string workload = argv[arg++];
     command = arg < argc ? argv[arg++] : "overview";
     log.info("cli", "offline analysis of " + workload + " from " + dir);
     try {
-      r = ffm::analyze_dir(dir, workload, cfg);
+      r = ffm::run_analysis(
+          evstore::open_run(evstore::run_file_path(dir, workload)), cfg);
     } catch (const Error& e) {
       std::fprintf(stderr, "replay failed: %s\n", e.what());
       return 1;
@@ -983,12 +987,17 @@ int main(int argc, char** argv) {
     command = arg < argc ? argv[arg++] : "overview";
     if (command == "stages") {
       if (arg >= argc) return usage();
-      cfg.stage_dir = argv[arg++];
+      cfg.trace_dir = argv[arg++];
     }
     log.info("cli",
              "analyzing " + app_name + " (4 collection runs + analysis)...");
     ffm::Diogenes tool(app->pathological, cfg);
-    r = tool.analyze();
+    try {
+      r = tool.analyze();
+    } catch (const Error& e) {
+      std::fprintf(stderr, "analysis failed: %s\n", e.what());
+      return 1;
+    }
   }
 
   if (command == "overview" || command == "stages") {
@@ -1001,7 +1010,9 @@ int main(int argc, char** argv) {
                 format_percent(r.fraction_of_exec(r.benefit.total)).c_str(),
                 r.overhead_factor);
     if (command == "stages") {
-      std::printf("stage files written under %s\n", cfg.stage_dir.c_str());
+      std::printf("run saved to %s\n",
+                  evstore::run_file_path(cfg.trace_dir, r.workload_name)
+                      .c_str());
     }
     return 0;
   }

@@ -2,7 +2,6 @@
 
 #include <unordered_map>
 
-#include "core/run_convert.h"
 #include "eventstore/cursor.h"
 #include "gpusim/runtime.h"
 #include "obs/telemetry.h"
@@ -155,28 +154,10 @@ json::Value chrome_trace(const evstore::TraceRun& run,
   return json::Value(std::move(root));
 }
 
-json::Value chrome_trace(const Stage2Result& cpu_ops,
-                         const Stage3Result* problems,
-                         const gpusim::Runtime* rt,
-                         const ChromeTraceOptions& opts) {
-  evstore::TraceRun run;
-  append_stage2(run, cpu_ops);
-  if (problems != nullptr) append_stage3(run, *problems);
-  return chrome_trace(run, rt, opts);
-}
-
 void save_chrome_trace(const std::string& path, const evstore::TraceRun& run,
                        const gpusim::Runtime* rt,
                        const ChromeTraceOptions& opts) {
   json::save_file(path, chrome_trace(run, rt, opts));
-}
-
-void save_chrome_trace(const std::string& path,
-                       const Stage2Result& cpu_ops,
-                       const Stage3Result* problems,
-                       const gpusim::Runtime* rt,
-                       const ChromeTraceOptions& opts) {
-  json::save_file(path, chrome_trace(cpu_ops, problems, rt, opts));
 }
 
 }  // namespace diog::ffm

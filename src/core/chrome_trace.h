@@ -16,7 +16,6 @@
 
 #include <string>
 
-#include "core/model.h"
 #include "eventstore/run.h"
 #include "json/json.h"
 #include "obs/span.h"
@@ -50,20 +49,9 @@ json::Value chrome_trace(const evstore::TraceRun& run,
                          const gpusim::Runtime* rt,
                          const ChromeTraceOptions& opts = {});
 
-// Legacy-shape adapter: assembles a transient run from the stage values.
-json::Value chrome_trace(const Stage2Result& cpu_ops,
-                         const Stage3Result* problems,
-                         const gpusim::Runtime* rt,
-                         const ChromeTraceOptions& opts = {});
-
 // Convenience: serialize straight to a .json file loadable by
 // chrome://tracing or ui.perfetto.dev.
 void save_chrome_trace(const std::string& path, const evstore::TraceRun& run,
-                       const gpusim::Runtime* rt,
-                       const ChromeTraceOptions& opts = {});
-void save_chrome_trace(const std::string& path,
-                       const Stage2Result& cpu_ops,
-                       const Stage3Result* problems,
                        const gpusim::Runtime* rt,
                        const ChromeTraceOptions& opts = {});
 

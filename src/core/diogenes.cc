@@ -41,14 +41,6 @@ Diogenes::Diogenes(Workload workload, ToolConfig cfg)
   DIOG_CHECK(workload_.body != nullptr, "workload has no body");
 }
 
-void Diogenes::maybe_persist(const std::string& stage,
-                             const json::Value& v) const {
-  if (cfg_.stage_dir.empty()) return;
-  json::save_file(cfg_.stage_dir + "/" + workload_.name + "_" + stage +
-                      ".json",
-                  v);
-}
-
 AnalysisResult run_analysis(const evstore::TraceRun& run,
                             const ToolConfig& cfg) {
   DIOG_SPAN("stage5.analysis");
@@ -132,32 +124,22 @@ AnalysisResult Diogenes::analyze() {
                          ")");
   stage("stage1");
   const Stage1Result s1 = run_stage1(workload_, cfg_);
-  maybe_persist("stage1", s1.to_json());
   append_stage1(run, s1);
   stage_done();
 
   log.info("stage2", "stage 2: detailed tracing");
   stage("stage2");
   collect_stage2(workload_, cfg_, s1, run);
-  if (!cfg_.stage_dir.empty()) {
-    maybe_persist("stage2", stage2_view(run).to_json());
-  }
   stage_done();
 
   log.info("stage3", "stage 3: memory tracing + hashing");
   stage("stage3");
   collect_stage3(workload_, cfg_, run);
-  if (!cfg_.stage_dir.empty()) {
-    maybe_persist("stage3", stage3_view(run).to_json());
-  }
   stage_done();
 
   log.info("stage4", "stage 4: sync-use analysis");
   stage("stage4");
   collect_stage4(workload_, cfg_, run);
-  if (!cfg_.stage_dir.empty()) {
-    maybe_persist("stage4", stage4_view(run).to_json());
-  }
   stage_done();
 
   if (recorder) {

@@ -77,8 +77,6 @@ class Diogenes {
   AnalysisResult analyze();
 
  private:
-  void maybe_persist(const std::string& stage, const json::Value& v) const;
-
   Workload workload_;
   ToolConfig cfg_;
 };

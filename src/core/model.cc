@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <set>
 
-#include "support/error.h"
-
 namespace diog::ffm {
 
 std::string_view to_string(ProblemType p) {
@@ -21,21 +19,10 @@ json::Value duration_to_json(Duration d) {
   return json::Value(static_cast<std::int64_t>(d.count()));
 }
 
-Duration duration_from_json(const json::Value& v) {
-  return Duration{v.as_int()};
-}
-
 namespace {
 
 json::Value fn_to_json(hooks::Fn f) {
   return json::Value(static_cast<std::int64_t>(f));
-}
-
-hooks::Fn fn_from_json(const json::Value& v) {
-  const auto raw = v.as_int();
-  DIOG_CHECK(raw >= 0 && raw <= static_cast<std::int64_t>(hooks::kFnCount),
-             "bad Fn in json");
-  return static_cast<hooks::Fn>(raw);
 }
 
 }  // namespace
@@ -49,14 +36,6 @@ json::Value SyncSite::to_json() const {
   o["stack"] = stack.to_json();
   o["hits"] = hits;
   return json::Value(std::move(o));
-}
-
-SyncSite SyncSite::from_json(const json::Value& v) {
-  SyncSite s;
-  s.api = fn_from_json(v.at("api"));
-  s.stack = trace::StackTrace::from_json(v.at("stack"));
-  s.hits = static_cast<std::uint64_t>(v.at("hits").as_int());
-  return s;
 }
 
 std::vector<hooks::Fn> Stage1Result::traced_fns() const {
@@ -85,78 +64,6 @@ json::Value Stage1Result::to_json() const {
   return json::Value(std::move(o));
 }
 
-Stage1Result Stage1Result::from_json(const json::Value& v) {
-  Stage1Result r;
-  r.wait_fn = fn_from_json(v.at("wait_fn"));
-  r.exec_time = duration_from_json(v.at("exec_time_ns"));
-  for (const json::Value& s : v.at("sync_sites").as_array()) {
-    r.sync_sites.push_back(SyncSite::from_json(s));
-  }
-  return r;
-}
-
-// --- Stage 2 -----------------------------------------------------------------
-
-json::Value OpRecord::to_json() const {
-  json::Object o;
-  o["index"] = index;
-  o["api"] = fn_to_json(api);
-  o["api_name"] = std::string(hooks::fn_name(api));
-  o["stack"] = stack.to_json();
-  o["t_enter_ns"] = static_cast<std::int64_t>(t_enter.count());
-  o["t_exit_ns"] = static_cast<std::int64_t>(t_exit.count());
-  o["sync_wait_ns"] = duration_to_json(sync_wait);
-  o["performed_sync"] = performed_sync;
-  o["performed_transfer"] = performed_transfer;
-  o["bytes"] = bytes;
-  o["direction"] = static_cast<std::int64_t>(direction);
-  o["async_requested"] = async_requested;
-  o["dst_mem"] = static_cast<std::int64_t>(dst_mem);
-  o["src_mem"] = static_cast<std::int64_t>(src_mem);
-  o["stream"] = static_cast<std::int64_t>(stream);
-  o["gpu_op_duration_ns"] = duration_to_json(gpu_op_duration);
-  return json::Value(std::move(o));
-}
-
-OpRecord OpRecord::from_json(const json::Value& v) {
-  OpRecord r;
-  r.index = static_cast<std::uint64_t>(v.at("index").as_int());
-  r.api = fn_from_json(v.at("api"));
-  r.stack = trace::StackTrace::from_json(v.at("stack"));
-  r.t_enter = TimePoint{v.at("t_enter_ns").as_int()};
-  r.t_exit = TimePoint{v.at("t_exit_ns").as_int()};
-  r.sync_wait = duration_from_json(v.at("sync_wait_ns"));
-  r.performed_sync = v.at("performed_sync").as_bool();
-  r.performed_transfer = v.at("performed_transfer").as_bool();
-  r.bytes = static_cast<std::uint64_t>(v.at("bytes").as_int());
-  r.direction = static_cast<hooks::MemcpyKind>(v.at("direction").as_int());
-  r.async_requested = v.at("async_requested").as_bool();
-  r.dst_mem = static_cast<hooks::MemKind>(v.at("dst_mem").as_int());
-  r.src_mem = static_cast<hooks::MemKind>(v.at("src_mem").as_int());
-  r.stream = static_cast<hooks::StreamId>(v.at("stream").as_int());
-  r.gpu_op_duration = duration_from_json(v.at("gpu_op_duration_ns"));
-  return r;
-}
-
-json::Value Stage2Result::to_json() const {
-  json::Object o;
-  o["exec_time_ns"] = duration_to_json(exec_time);
-  json::Array arr;
-  arr.reserve(ops.size());
-  for (const OpRecord& r : ops) arr.push_back(r.to_json());
-  o["ops"] = std::move(arr);
-  return json::Value(std::move(o));
-}
-
-Stage2Result Stage2Result::from_json(const json::Value& v) {
-  Stage2Result r;
-  r.exec_time = duration_from_json(v.at("exec_time_ns"));
-  for (const json::Value& e : v.at("ops").as_array()) {
-    r.ops.push_back(OpRecord::from_json(e));
-  }
-  return r;
-}
-
 // --- Stage 3 -----------------------------------------------------------------
 
 json::Value SyncClassification::to_json() const {
@@ -168,15 +75,6 @@ json::Value SyncClassification::to_json() const {
   return json::Value(std::move(o));
 }
 
-SyncClassification SyncClassification::from_json(const json::Value& v) {
-  SyncClassification c;
-  c.op_index = static_cast<std::uint64_t>(v.at("op_index").as_int());
-  c.required = v.at("required").as_bool();
-  c.access_stack = trace::StackTrace::from_json(v.at("access_stack"));
-  c.access_ip = static_cast<std::uint64_t>(v.at("access_ip").as_int());
-  return c;
-}
-
 json::Value DuplicateTransfer::to_json() const {
   json::Object o;
   o["op_index"] = op_index;
@@ -184,16 +82,6 @@ json::Value DuplicateTransfer::to_json() const {
   o["digest"] = digest;
   o["bytes"] = bytes;
   return json::Value(std::move(o));
-}
-
-DuplicateTransfer DuplicateTransfer::from_json(const json::Value& v) {
-  DuplicateTransfer d;
-  d.op_index = static_cast<std::uint64_t>(v.at("op_index").as_int());
-  d.first_op_index =
-      static_cast<std::uint64_t>(v.at("first_op_index").as_int());
-  d.digest = static_cast<hash::Digest>(v.at("digest").as_int());
-  d.bytes = static_cast<std::uint64_t>(v.at("bytes").as_int());
-  return d;
 }
 
 json::Value Stage3Result::to_json() const {
@@ -214,21 +102,6 @@ json::Value Stage3Result::to_json() const {
   return json::Value(std::move(o));
 }
 
-Stage3Result Stage3Result::from_json(const json::Value& v) {
-  Stage3Result r;
-  r.exec_time = duration_from_json(v.at("exec_time_ns"));
-  for (const json::Value& s : v.at("syncs").as_array()) {
-    r.syncs.push_back(SyncClassification::from_json(s));
-  }
-  for (const json::Value& d : v.at("duplicate_transfers").as_array()) {
-    r.duplicate_transfers.push_back(DuplicateTransfer::from_json(d));
-  }
-  r.transfers_hashed =
-      static_cast<std::uint64_t>(v.at("transfers_hashed").as_int());
-  r.bytes_hashed = static_cast<std::uint64_t>(v.at("bytes_hashed").as_int());
-  return r;
-}
-
 // --- Stage 4 -----------------------------------------------------------------
 
 json::Value SyncUse::to_json() const {
@@ -236,13 +109,6 @@ json::Value SyncUse::to_json() const {
   o["op_index"] = op_index;
   o["first_use_time_ns"] = duration_to_json(first_use_time);
   return json::Value(std::move(o));
-}
-
-SyncUse SyncUse::from_json(const json::Value& v) {
-  SyncUse u;
-  u.op_index = static_cast<std::uint64_t>(v.at("op_index").as_int());
-  u.first_use_time = duration_from_json(v.at("first_use_time_ns"));
-  return u;
 }
 
 json::Value Stage4Result::to_json() const {
@@ -253,15 +119,6 @@ json::Value Stage4Result::to_json() const {
   for (const SyncUse& u : uses) arr.push_back(u.to_json());
   o["uses"] = std::move(arr);
   return json::Value(std::move(o));
-}
-
-Stage4Result Stage4Result::from_json(const json::Value& v) {
-  Stage4Result r;
-  r.exec_time = duration_from_json(v.at("exec_time_ns"));
-  for (const json::Value& u : v.at("uses").as_array()) {
-    r.uses.push_back(SyncUse::from_json(u));
-  }
-  return r;
 }
 
 }  // namespace diog::ffm

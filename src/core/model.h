@@ -1,13 +1,11 @@
 // Shared data model of the FFM stages.
 //
-// Since the event-store refactor these structs are *views*: the source
-// of truth for a run is the unified columnar store
-// (eventstore/run.h) that every collection stage appends into, and
-// stageN_view() (core/run_convert.h) materializes these value types
-// from it on demand. They remain the JSON round-trip surface — the
-// per-stage files the multi-run driver can persist, and the legacy
-// analyze_offline() input — and keep their layout so existing
-// consumers and serialized files stay valid.
+// These structs are *views*: the source of truth for a run is the
+// unified columnar store (eventstore/run.h) that every collection stage
+// appends into, and stageN_view() (core/run_convert.h) materializes
+// these value types from it on demand. The saved .dgtrace run is the
+// only interchange format; to_json() exists for the stage sections of
+// export_json (stages 1, 3 and 4).
 #pragma once
 
 #include <cstdint>
@@ -41,7 +39,6 @@ struct SyncSite {
   std::uint64_t hits = 0;
 
   [[nodiscard]] json::Value to_json() const;
-  static SyncSite from_json(const json::Value& v);
 };
 
 struct Stage1Result {
@@ -56,7 +53,6 @@ struct Stage1Result {
   [[nodiscard]] std::vector<hooks::Fn> traced_fns() const;
 
   [[nodiscard]] json::Value to_json() const;
-  static Stage1Result from_json(const json::Value& v);
 };
 
 // --- Stage 2: Detailed Tracing ----------------------------------------------
@@ -80,17 +76,11 @@ struct OpRecord {
   Duration gpu_op_duration{0};
 
   [[nodiscard]] Duration call_duration() const { return t_exit - t_enter; }
-
-  [[nodiscard]] json::Value to_json() const;
-  static OpRecord from_json(const json::Value& v);
 };
 
 struct Stage2Result {
   Duration exec_time{0};
   std::vector<OpRecord> ops;
-
-  [[nodiscard]] json::Value to_json() const;
-  static Stage2Result from_json(const json::Value& v);
 };
 
 // --- Stage 3: Memory Tracing and Data Hashing --------------------------------
@@ -106,7 +96,6 @@ struct SyncClassification {
   std::uint64_t access_ip = 0;
 
   [[nodiscard]] json::Value to_json() const;
-  static SyncClassification from_json(const json::Value& v);
 };
 
 // One duplicate transfer detected by content hashing.
@@ -117,7 +106,6 @@ struct DuplicateTransfer {
   std::uint64_t bytes = 0;
 
   [[nodiscard]] json::Value to_json() const;
-  static DuplicateTransfer from_json(const json::Value& v);
 };
 
 struct Stage3Result {
@@ -128,7 +116,6 @@ struct Stage3Result {
   std::uint64_t bytes_hashed = 0;
 
   [[nodiscard]] json::Value to_json() const;
-  static Stage3Result from_json(const json::Value& v);
 };
 
 // --- Stage 4: Sync-Use Analysis ------------------------------------------------
@@ -138,7 +125,6 @@ struct SyncUse {
   Duration first_use_time{0};
 
   [[nodiscard]] json::Value to_json() const;
-  static SyncUse from_json(const json::Value& v);
 };
 
 struct Stage4Result {
@@ -146,12 +132,10 @@ struct Stage4Result {
   std::vector<SyncUse> uses;
 
   [[nodiscard]] json::Value to_json() const;
-  static Stage4Result from_json(const json::Value& v);
 };
 
 // --- JSON helpers shared by the stage types ---------------------------------
 
 json::Value duration_to_json(Duration d);
-Duration duration_from_json(const json::Value& v);
 
 }  // namespace diog::ffm

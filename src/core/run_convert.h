@@ -3,11 +3,11 @@
 //
 // The pipeline's canonical carrier is evstore::TraceRun; the StageNResult
 // structs survive as *views* — materialized from the store's cursors in
-// append order — so the JSON stage-file format, the replay path, and
-// every existing consumer keep their exact shapes. append_stageN /
-// stageN_view are inverses: a result appended into a run and viewed back
-// compares field-for-field equal, which is what makes a run saved to
-// disk and reopened indistinguishable from the in-memory pipeline.
+// append order — for export_json's stage sections and the consumers
+// that want per-stage shapes. append_stageN / stageN_view are inverses:
+// a result appended into a run and viewed back compares field-for-field
+// equal, which is what makes a run saved to disk and reopened
+// indistinguishable from the in-memory pipeline.
 #pragma once
 
 #include "core/model.h"
@@ -23,9 +23,8 @@ void append_stage2(evstore::TraceRun& run, const Stage2Result& s2);
 void append_stage3(evstore::TraceRun& run, const Stage3Result& s3);
 void append_stage4(evstore::TraceRun& run, const Stage4Result& s4);
 
-// Builds a complete run from four stage results (the JSON replay
-// fallback, benches and tests use this; the live driver appends
-// incrementally).
+// Builds a complete run from four stage results (benches and tests use
+// this; the live driver appends incrementally).
 evstore::TraceRun build_run(const std::string& workload,
                             const Stage1Result& s1, const Stage2Result& s2,
                             const Stage3Result& s3, const Stage4Result& s4);

@@ -40,10 +40,6 @@ struct ToolConfig {
   Duration misplaced_threshold = us(50);
 
   // --- Output -------------------------------------------------------------
-  // When non-empty, each stage's JSON output is persisted here
-  // (<dir>/<workload>_stageN.json), as the real tool writes stage data
-  // to disk between runs.
-  std::string stage_dir;
   // When non-empty, the complete run (every event the pipeline observed,
   // in the binary format of eventstore/run_io.h) is saved here as
   // <dir>/<workload>.dgtrace after collection finishes.

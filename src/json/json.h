@@ -21,7 +21,7 @@ namespace diog::json {
 class Value;
 
 using Array = std::vector<Value>;
-// std::map keeps object keys sorted, which makes serialized stage files
+// std::map keeps object keys sorted, which makes serialized exports
 // byte-stable across runs — important for golden tests.
 using Object = std::map<std::string, Value, std::less<>>;
 
@@ -89,7 +89,7 @@ class Value {
 // garbage is not.
 Value parse(std::string_view text);
 
-// File round-trip helpers (the multi-run driver persists stage outputs).
+// File round-trip helpers (the CLI writes exports with save_file).
 Value load_file(const std::string& path);
 void save_file(const std::string& path, const Value& v);
 

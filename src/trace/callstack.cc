@@ -143,16 +143,6 @@ json::Value StackTrace::to_json() const {
   return json::Value(std::move(arr));
 }
 
-StackTrace StackTrace::from_json(const json::Value& v) {
-  std::vector<const Frame*> frames;
-  for (const json::Value& fv : v.as_array()) {
-    frames.push_back(FrameTable::instance().intern(
-        fv.at("function").as_string(), fv.at("file").as_string(),
-        static_cast<int>(fv.at("line").as_int())));
-  }
-  return StackTrace(std::move(frames));
-}
-
 CallContext& CallContext::current() {
   thread_local CallContext ctx;
   return ctx;

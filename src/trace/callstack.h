@@ -94,7 +94,6 @@ class StackTrace {
   [[nodiscard]] std::string pretty(std::string_view indent = "  ") const;
 
   [[nodiscard]] json::Value to_json() const;
-  static StackTrace from_json(const json::Value& v);
 
  private:
   std::vector<const Frame*> frames_;

@@ -3,9 +3,11 @@
 #include <filesystem>
 
 #include "core/chrome_trace.h"
+#include "core/run_convert.h"
 #include "core/stage1_baseline.h"
 #include "core/stage2_tracing.h"
 #include "core/stage3_memhash.h"
+#include "eventstore/run_io.h"
 #include "gpusim/api.h"
 #include "gpusim/host_buffer.h"
 #include "trace/callstack.h"
@@ -16,11 +18,10 @@ namespace {
 using gpusim::KernelDesc;
 using hooks::MemcpyKind;
 
-// Build a small stage-2/3 dataset plus a runtime with a populated GPU
-// timeline.
+// Collect stages 1-3 of a small workload into one run, the way
+// Diogenes::analyze does, plus a runtime with a populated GPU timeline.
 struct Dataset {
-  Stage2Result s2;
-  Stage3Result s3;
+  evstore::TraceRun run;
   std::unique_ptr<gpusim::Runtime> rt;
 };
 
@@ -45,10 +46,12 @@ Dataset make_dataset() {
   };
 
   Dataset d;
+  d.run.meta.workload = w.name;
   const ToolConfig cfg;
   const Stage1Result s1 = run_stage1(w, cfg);
-  d.s2 = run_stage2(w, cfg, s1);
-  d.s3 = run_stage3(w, cfg, s1);
+  append_stage1(d.run, s1);
+  collect_stage2(w, cfg, s1, d.run);
+  collect_stage3(w, cfg, d.run);
 
   // A separate plain run provides the GPU ground-truth timeline.
   d.rt = std::make_unique<gpusim::Runtime>(w.device);
@@ -65,7 +68,7 @@ const json::Array& events_of(const json::Value& v) {
 
 TEST(ChromeTrace, EmitsCpuAndGpuTracks) {
   const Dataset d = make_dataset();
-  const json::Value v = chrome_trace(d.s2, &d.s3, d.rt.get());
+  const json::Value v = chrome_trace(d.run, d.rt.get());
 
   bool cpu_meta = false, gpu_meta = false, kernel_event = false,
        memcpy_event = false;
@@ -88,7 +91,7 @@ TEST(ChromeTrace, EmitsCpuAndGpuTracks) {
 
 TEST(ChromeTrace, EventsCarryTimesAndDurations) {
   const Dataset d = make_dataset();
-  const json::Value v = chrome_trace(d.s2, &d.s3, d.rt.get());
+  const json::Value v = chrome_trace(d.run, d.rt.get());
   for (const json::Value& e : events_of(v)) {
     if (e.at("ph").as_string() != "X") continue;
     EXPECT_GE(e.at("ts").as_double(), 0.0);
@@ -99,7 +102,7 @@ TEST(ChromeTrace, EventsCarryTimesAndDurations) {
 
 TEST(ChromeTrace, ProblemAnnotationsAttached) {
   const Dataset d = make_dataset();
-  const json::Value v = chrome_trace(d.s2, &d.s3, d.rt.get());
+  const json::Value v = chrome_trace(d.run, d.rt.get());
   bool required_seen = false, unnecessary_seen = false;
   for (const json::Value& e : events_of(v)) {
     if (e.at("ph").as_string() != "X" || !e.contains("args")) continue;
@@ -116,7 +119,7 @@ TEST(ChromeTrace, ProblemAnnotationsAttached) {
 
 TEST(ChromeTrace, SourceAttributionIncluded) {
   const Dataset d = make_dataset();
-  const json::Value v = chrome_trace(d.s2, &d.s3, d.rt.get());
+  const json::Value v = chrome_trace(d.run, d.rt.get());
   bool any_source = false;
   for (const json::Value& e : events_of(v)) {
     if (e.at("ph").as_string() == "X" && e.contains("args") &&
@@ -132,7 +135,7 @@ TEST(ChromeTrace, OptionsDisableTracks) {
   ChromeTraceOptions no_gpu;
   no_gpu.include_gpu_timeline = false;
   no_gpu.include_internal_track = false;
-  const json::Value v = chrome_trace(d.s2, &d.s3, d.rt.get(), no_gpu);
+  const json::Value v = chrome_trace(d.run, d.rt.get(), no_gpu);
   for (const json::Value& e : events_of(v)) {
     if (e.at("ph").as_string() == "X") {
       EXPECT_EQ(e.at("tid").as_int(), 1);  // only the CPU track
@@ -142,7 +145,7 @@ TEST(ChromeTrace, OptionsDisableTracks) {
   ChromeTraceOptions no_cpu;
   no_cpu.include_cpu_ops = false;
   no_cpu.include_internal_track = false;
-  const json::Value v2 = chrome_trace(d.s2, &d.s3, d.rt.get(), no_cpu);
+  const json::Value v2 = chrome_trace(d.run, d.rt.get(), no_cpu);
   for (const json::Value& e : events_of(v2)) {
     if (e.at("ph").as_string() == "X") {
       EXPECT_GE(e.at("tid").as_int(), 100);  // only GPU tracks
@@ -160,7 +163,7 @@ TEST(ChromeTrace, InternalTrackEmitsNamedNestedSpans) {
 
   ChromeTraceOptions opts;
   opts.internal_spans = &spans;
-  const json::Value v = chrome_trace(d.s2, &d.s3, d.rt.get(), opts);
+  const json::Value v = chrome_trace(d.run, d.rt.get(), opts);
 
   bool internal_meta = false;
   const json::Value* outer_ev = nullptr;
@@ -200,7 +203,7 @@ TEST(ChromeTrace, InternalTrackOpenSpansRenderZeroDuration) {
 
   ChromeTraceOptions opts;
   opts.internal_spans = &spans;
-  const json::Value v = chrome_trace(d.s2, &d.s3, d.rt.get(), opts);
+  const json::Value v = chrome_trace(d.run, d.rt.get(), opts);
   bool seen = false;
   for (const json::Value& e : events_of(v)) {
     if (e.at("ph").as_string() == "X" && e.at("tid").as_int() == 50 &&
@@ -220,7 +223,7 @@ TEST(ChromeTrace, InternalTrackAbsentWhenDisabledOrEmpty) {
   ChromeTraceOptions off;
   off.include_internal_track = false;
   off.internal_spans = &spans;
-  const json::Value disabled = chrome_trace(d.s2, &d.s3, d.rt.get(), off);
+  const json::Value disabled = chrome_trace(d.run, d.rt.get(), off);
   for (const json::Value& e : events_of(disabled)) {
     EXPECT_NE(e.at("tid").as_int(), 50);
   }
@@ -229,7 +232,7 @@ TEST(ChromeTrace, InternalTrackAbsentWhenDisabledOrEmpty) {
   obs::SpanCollector empty;
   ChromeTraceOptions on;
   on.internal_spans = &empty;
-  const json::Value no_spans = chrome_trace(d.s2, &d.s3, d.rt.get(), on);
+  const json::Value no_spans = chrome_trace(d.run, d.rt.get(), on);
   for (const json::Value& e : events_of(no_spans)) {
     EXPECT_NE(e.at("tid").as_int(), 50);
   }
@@ -242,7 +245,7 @@ TEST(ChromeTrace, ProblemAnnotationsSurviveAlongsideInternalSpans) {
 
   ChromeTraceOptions opts;
   opts.internal_spans = &spans;
-  const json::Value v = chrome_trace(d.s2, &d.s3, d.rt.get(), opts);
+  const json::Value v = chrome_trace(d.run, d.rt.get(), opts);
   bool sync_annotation = false, internal_span = false;
   for (const json::Value& e : events_of(v)) {
     if (e.at("ph").as_string() != "X") continue;
@@ -257,15 +260,36 @@ TEST(ChromeTrace, ProblemAnnotationsSurviveAlongsideInternalSpans) {
 
 TEST(ChromeTrace, NullRuntimeAndProblemsTolerated) {
   const Dataset d = make_dataset();
-  const json::Value v = chrome_trace(d.s2, nullptr, nullptr);
+  // The same ops with no stage-3 classification events.
+  evstore::TraceRun ops_only;
+  append_stage2(ops_only, stage2_view(d.run));
+  const json::Value v = chrome_trace(ops_only, nullptr);
   EXPECT_GT(events_of(v).size(), 0u);
+}
+
+TEST(ChromeTrace, ReopenedRunRendersIdentically) {
+  const Dataset d = make_dataset();
+  const auto path = std::filesystem::temp_directory_path() /
+                    "diog_chrome_trace_reopen.dgtrace";
+  evstore::save_run(path.string(), d.run);
+  const evstore::TraceRun reopened = evstore::open_run(path.string());
+  std::filesystem::remove(path);
+
+  // Without the in-process sources (GPU timeline, live span collector)
+  // a reopened run renders exactly like the one that was saved.
+  ChromeTraceOptions opts;
+  opts.include_internal_track = false;
+  const json::Value live = chrome_trace(d.run, nullptr, opts);
+  const json::Value disk = chrome_trace(reopened, nullptr, opts);
+  ASSERT_GT(events_of(live).size(), 2u);  // more than the two meta events
+  EXPECT_EQ(disk.dump(), live.dump());
 }
 
 TEST(ChromeTrace, SavesParseableFile) {
   const Dataset d = make_dataset();
   const auto path =
       std::filesystem::temp_directory_path() / "diog_chrome_trace.json";
-  save_chrome_trace(path.string(), d.s2, &d.s3, d.rt.get());
+  save_chrome_trace(path.string(), d.run, d.rt.get());
   const json::Value loaded = json::load_file(path.string());
   EXPECT_EQ(loaded.at("displayTimeUnit").as_string(), "ms");
   EXPECT_GT(loaded.at("traceEvents").size(), 0u);

@@ -220,24 +220,6 @@ TEST_F(IntegrationTest, DeterministicAcrossAnalyses) {
             stage3_view(result_->run).duplicate_transfers.size());
 }
 
-TEST(DiogenesDriver, PersistsStageFilesWhenConfigured) {
-  const auto dir =
-      std::filesystem::temp_directory_path() / "diog_stage_test";
-  std::filesystem::create_directories(dir);
-  ToolConfig cfg;
-  cfg.stage_dir = dir.string();
-  Workload w = synthetic_workload();
-  w.name = "persist";
-  Diogenes tool(w, cfg);
-  (void)tool.analyze();
-  for (const char* stage : {"stage1", "stage2", "stage3", "stage4"}) {
-    const auto path = dir / (std::string("persist_") + stage + ".json");
-    EXPECT_TRUE(std::filesystem::exists(path)) << path;
-    EXPECT_NO_THROW((void)json::load_file(path.string()));
-  }
-  std::filesystem::remove_all(dir);
-}
-
 TEST(DiogenesDriver, WorkloadWithoutBodyRejected) {
   Workload w;
   w.name = "empty";

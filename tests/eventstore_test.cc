@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "core/diogenes.h"
-#include "core/replay.h"
 #include "core/report.h"
 #include "eventstore/codecs.h"
 #include "eventstore/cursor.h"
@@ -1073,9 +1072,8 @@ TEST_F(RunIoTest, ReopenedRunAnalyzesByteIdentically) {
   ffm::Diogenes tool(store_workload(), cfg);
   const ffm::AnalysisResult live = tool.analyze();
 
-  const std::string file = run_file_path(dir_, "evstore_wl");
-  ASSERT_TRUE(ffm::has_run_file(dir_, "evstore_wl"));
-  const ffm::AnalysisResult reopened = ffm::analyze_run_file(file, cfg);
+  const ffm::AnalysisResult reopened =
+      ffm::run_analysis(open_run(run_file_path(dir_, "evstore_wl")), cfg);
 
   EXPECT_EQ(ffm::export_json(reopened).dump(), ffm::export_json(live).dump());
   EXPECT_EQ(ffm::render_overview(reopened), ffm::render_overview(live));
@@ -1100,22 +1098,6 @@ TEST_F(RunIoTest, TraceStatReportsPerChunkEncodingAndRatio) {
   EXPECT_NE(out.find("chunk 0: coded"), std::string::npos) << out;
   EXPECT_NE(out.find(" stored / "), std::string::npos) << out;
   EXPECT_NE(out.find("x)"), std::string::npos) << out;
-}
-
-TEST_F(RunIoTest, AnalyzeDirPrefersBinaryRun) {
-  ffm::ToolConfig cfg;
-  cfg.trace_dir = dir_;
-  cfg.stage_dir = dir_;  // both representations on disk
-  ffm::Diogenes tool(store_workload(), cfg);
-  const ffm::AnalysisResult live = tool.analyze();
-
-  const ffm::AnalysisResult offline = ffm::analyze_dir(dir_, "evstore_wl", cfg);
-  EXPECT_EQ(ffm::export_json(offline).dump(), ffm::export_json(live).dump());
-  // And without the binary file it still works from stage JSON.
-  std::filesystem::remove(run_file_path(dir_, "evstore_wl"));
-  const ffm::AnalysisResult json_only =
-      ffm::analyze_dir(dir_, "evstore_wl", cfg);
-  EXPECT_EQ(json_only.benefit.total, live.benefit.total);
 }
 
 }  // namespace

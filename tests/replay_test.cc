@@ -1,13 +1,14 @@
-// Offline replay: the analysis stage re-run from persisted JSON must
-// reproduce the live pipeline's results exactly.
+// Offline replay: the analysis stage re-run over a saved .dgtrace run
+// must reproduce the live pipeline's results exactly.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
 #include <memory>
 
-#include "core/replay.h"
+#include "core/diogenes.h"
 #include "core/report.h"
+#include "eventstore/run_io.h"
 #include "gpusim/api.h"
 #include "gpusim/host_buffer.h"
 #include "support/error.h"
@@ -53,8 +54,8 @@ class ReplayTest : public ::testing::Test {
  protected:
   void SetUp() override {
     // One directory per test: ctest runs tests as parallel processes,
-    // and a shared directory lets one test's TearDown delete stage
-    // files another test is mid-way through writing or loading.
+    // and a shared directory lets one test's TearDown delete a run file
+    // another test is mid-way through writing or loading.
     const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
     dir_ = (std::filesystem::temp_directory_path() /
             (std::string("diog_replay_") + info->name()))
@@ -63,17 +64,26 @@ class ReplayTest : public ::testing::Test {
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
+
+  // Collects the workload live, saving its run under dir_.
+  AnalysisResult analyze_live() const {
+    ToolConfig cfg;
+    cfg.trace_dir = dir_;
+    Diogenes tool(replay_workload(), cfg);
+    return tool.analyze();
+  }
+  // The saved run, reopened from disk.
+  [[nodiscard]] evstore::TraceRun saved_run() const {
+    return evstore::open_run(evstore::run_file_path(dir_, "replayee"));
+  }
+
   std::string dir_;
 };
 
 TEST_F(ReplayTest, OfflineAnalysisMatchesLiveExactly) {
-  ToolConfig cfg;
-  cfg.stage_dir = dir_;
-  Diogenes tool(replay_workload(), cfg);
-  const AnalysisResult live = tool.analyze();
-
-  const StageBundle bundle = load_stage_files(dir_, "replayee");
-  const AnalysisResult offline = analyze_offline(bundle, cfg);
+  const ToolConfig cfg;
+  const AnalysisResult live = analyze_live();
+  const AnalysisResult offline = run_analysis(saved_run(), cfg);
 
   EXPECT_EQ(offline.benefit.total, live.benefit.total);
   EXPECT_EQ(offline.benefit.sync_benefit, live.benefit.sync_benefit);
@@ -84,15 +94,12 @@ TEST_F(ReplayTest, OfflineAnalysisMatchesLiveExactly) {
 }
 
 TEST_F(ReplayTest, SubsequenceRefinementWorksOffline) {
-  ToolConfig cfg;
-  cfg.stage_dir = dir_;
-  Diogenes tool(replay_workload(), cfg);
-  (void)tool.analyze();
+  const ToolConfig cfg;
+  (void)analyze_live();
 
   // A fresh process (modeled here as a fresh analysis from disk) can
   // refine subsequences without the application ever existing.
-  const AnalysisResult offline =
-      analyze_offline(load_stage_files(dir_, "replayee"), cfg);
+  const AnalysisResult offline = run_analysis(saved_run(), cfg);
   ASSERT_FALSE(offline.sequences.empty());
   const Group& seq = offline.sequences[0];
   const auto entries = sequence_entries(offline.graph, seq);
@@ -102,39 +109,42 @@ TEST_F(ReplayTest, SubsequenceRefinementWorksOffline) {
 }
 
 TEST_F(ReplayTest, DifferentThresholdChangesOfflineClassification) {
-  ToolConfig cfg;
-  cfg.stage_dir = dir_;
-  Diogenes tool(replay_workload(), cfg);
-  (void)tool.analyze();
-  const StageBundle bundle = load_stage_files(dir_, "replayee");
+  const ToolConfig cfg;
+  (void)analyze_live();
+  const evstore::TraceRun run = saved_run();
 
   // Re-analysis with a different misplaced threshold is a pure
   // analysis-side decision: no new collection, possibly different
   // problem classification.
   ToolConfig strict = cfg;
   strict.misplaced_threshold = Duration{0};
-  const AnalysisResult strict_r = analyze_offline(bundle, strict);
+  const AnalysisResult strict_r = run_analysis(run, strict);
   ToolConfig lax = cfg;
   lax.misplaced_threshold = secs(10.0);
-  const AnalysisResult lax_r = analyze_offline(bundle, lax);
+  const AnalysisResult lax_r = run_analysis(run, lax);
   // Strict threshold flags at least as many problems.
   EXPECT_GE(strict_r.graph.problematic_indices().size(),
             lax_r.graph.problematic_indices().size());
 }
 
-TEST_F(ReplayTest, MissingFilesThrow) {
-  EXPECT_THROW(load_stage_files(dir_, "no_such_workload"), Error);
+TEST_F(ReplayTest, MissingRunThrowsNamingItsFile) {
+  const std::string path = evstore::run_file_path(dir_, "no_such_workload");
+  try {
+    (void)evstore::open_run(path);
+    FAIL() << "opening a missing run did not throw";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(dir_ + "/no_such_workload.dgtrace"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST_F(ReplayTest, CorruptFileThrows) {
-  ToolConfig cfg;
-  cfg.stage_dir = dir_;
-  Diogenes tool(replay_workload(), cfg);
-  (void)tool.analyze();
-  // Truncate one stage file.
-  std::ofstream(dir_ + "/replayee_stage3.json", std::ios::trunc)
-      << "{ not json";
-  EXPECT_THROW(load_stage_files(dir_, "replayee"), Error);
+  (void)analyze_live();
+  // Overwrite the saved run with bytes that are not a run.
+  std::ofstream(evstore::run_file_path(dir_, "replayee"), std::ios::trunc)
+      << "{ not a run";
+  EXPECT_THROW((void)saved_run(), Error);
 }
 
 }  // namespace

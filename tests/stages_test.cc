@@ -186,29 +186,6 @@ TEST(Stage2, StacksAttributeToAppFrames) {
   EXPECT_EQ(s2.ops[0].stack.leaf()->line, 42);
 }
 
-TEST(Stage2, JsonRoundTrip) {
-  const Workload w = make_workload("s2_json", [] {
-    KernelDesc k;
-    k.name = "k";
-    k.duration = us(500);
-    (void)gpusim::cudaLaunchKernel(k);
-    (void)gpusim::cudaDeviceSynchronize();
-  });
-  const ToolConfig cfg;
-  const Stage1Result s1 = run_stage1(w, cfg);
-  const Stage2Result s2 = run_stage2(w, cfg, s1);
-  const Stage2Result restored = Stage2Result::from_json(s2.to_json());
-  ASSERT_EQ(restored.ops.size(), s2.ops.size());
-  EXPECT_EQ(restored.exec_time, s2.exec_time);
-  EXPECT_EQ(restored.ops[0].api, s2.ops[0].api);
-  EXPECT_EQ(restored.ops[0].sync_wait, s2.ops[0].sync_wait);
-  EXPECT_EQ(restored.ops[0].stack, s2.ops[0].stack);
-
-  const Stage1Result s1_restored = Stage1Result::from_json(s1.to_json());
-  EXPECT_EQ(s1_restored.wait_fn, s1.wait_fn);
-  EXPECT_EQ(s1_restored.sync_sites.size(), s1.sync_sites.size());
-}
-
 // --- Stage 3: sync classification + dedup --------------------------------------------
 
 // Workload A: a sync protecting data the CPU reads -> required.
