@@ -851,15 +851,31 @@ int main(int argc, char** argv) {
             return service.handle(req);
           });
       http.bind(http_port);
-      std::thread http_thread([&http] { http.serve(); });
+      // Either server failing stops the other and fails the command.
+      std::string http_error;
+      std::thread http_thread([&] {
+        try {
+          http.serve();
+        } catch (const Error& e) {
+          http_error = e.what();
+          server.stop();
+        }
+      });
       std::printf("hub listening on tcp://127.0.0.1:%u\n",
                   static_cast<unsigned>(server.port()));
       std::printf("explorer at http://127.0.0.1:%u/\n",
                   static_cast<unsigned>(http.port()));
       std::fflush(stdout);
-      server.serve();  // blocks until stop() (or the process is killed)
+      std::string hub_error;
+      try {
+        server.serve();  // blocks until stop() (or the process is killed)
+      } catch (const Error& e) {
+        hub_error = e.what();
+      }
       http.stop();
       http_thread.join();
+      if (!hub_error.empty()) throw Error(hub_error);
+      if (!http_error.empty()) throw Error(http_error);
       return 0;
     } catch (const Error& e) {
       std::fprintf(stderr, "serve failed: %s\n", e.what());

@@ -1,5 +1,7 @@
 #include "eventstore/live_writer.h"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstring>
@@ -11,13 +13,6 @@
 #include "obs/telemetry.h"
 #include "support/error.h"
 #include "testkit/fault_plan.h"
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <unistd.h>
-#define DIOG_HAVE_FSYNC 1
-#else
-#define DIOG_HAVE_FSYNC 0
-#endif
 
 namespace diog::evstore {
 
@@ -69,7 +64,6 @@ LiveRunWriter::~LiveRunWriter() {
 
 void LiveRunWriter::flush(bool with_fsync) {
   DIOG_CHECK(std::fflush(f_) == 0, "flush failed for run file: " + path_);
-#if DIOG_HAVE_FSYNC
   if (with_fsync) {
     DIOG_SPAN("evstore.save.fsync");
     if (testkit::fault_at("live_writer.fsync") != nullptr) {
@@ -78,9 +72,6 @@ void LiveRunWriter::flush(bool with_fsync) {
     DIOG_CHECK(::fsync(::fileno(f_)) == 0,
                "fsync failed for run file: " + path_);
   }
-#else
-  (void)with_fsync;
-#endif
 }
 
 bool LiveRunWriter::write_chunk(const TraceRun& run, bool force) {

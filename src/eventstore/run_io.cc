@@ -1,5 +1,10 @@
 #include "eventstore/run_io.h"
 
+#include <fcntl.h>
+#include <sys/mman.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstring>
@@ -17,16 +22,6 @@
 #include "parallel/thread_pool.h"
 #include "support/error.h"
 #include "testkit/fault_plan.h"
-
-#if defined(__unix__) || defined(__APPLE__)
-#define DIOG_HAVE_MMAP 1
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-#else
-#define DIOG_HAVE_MMAP 0
-#endif
 
 namespace diog::evstore {
 
@@ -532,7 +527,6 @@ TraceRun parse_run(const unsigned char* data, std::size_t size,
   return std::move(parser.run);
 }
 
-#if DIOG_HAVE_MMAP
 class MappedFile {
  public:
   explicit MappedFile(const std::string& path) {
@@ -573,7 +567,6 @@ class MappedFile {
   const unsigned char* data_ = nullptr;
   std::size_t size_ = 0;
 };
-#endif
 
 std::vector<unsigned char> read_whole_file(const std::string& path) {
   // Allocation failure while buffering the file is an I/O-layer error,
@@ -748,15 +741,11 @@ void save_run(const std::string& path, const TraceRun& run,
 TraceRun open_run(const std::string& path, ReadMode mode,
                   RunFileInfo* info) {
   DIOG_SPAN("evstore.open");
-#if DIOG_HAVE_MMAP
   if (mode == ReadMode::kAuto || mode == ReadMode::kMmap) {
     MappedFile f(path);
     note_open_metrics("mmap", f.size());
     return parse_run(f.data(), f.size(), info);
   }
-#else
-  DIOG_CHECK(mode != ReadMode::kMmap, "mmap unavailable on this platform");
-#endif
   const std::vector<unsigned char> buf = read_whole_file(path);
   note_open_metrics("stream", buf.size());
   return parse_run(buf.data(), buf.size(), info);
@@ -854,7 +843,6 @@ void StreamParser::apply_footer(const unsigned char* frame, std::size_t n) {
 // --- RunFollower -------------------------------------------------------------
 
 struct RunFollower::Impl : ChunkParser {
-#if DIOG_HAVE_MMAP
   // File identity captured when the header is first validated. A
   // dev/inode change afterwards means the path was atomically replaced:
   // the bytes at offset_ no longer belong to the stream the follower
@@ -862,7 +850,6 @@ struct RunFollower::Impl : ChunkParser {
   bool has_identity = false;
   dev_t dev = 0;
   ino_t ino = 0;
-#endif
 };
 
 RunFollower::RunFollower(std::string path) : path_(std::move(path)) {
@@ -884,22 +871,18 @@ std::uint64_t RunFollower::poll() {
     impl_->version = validate_header(hdr, sizeof(hdr));
     info_.format_version = impl_->version;
     offset_ = fmt::kHeaderBytes;
-#if DIOG_HAVE_MMAP
     struct stat st{};
     if (::stat(path_.c_str(), &st) == 0) {
       impl_->has_identity = true;
       impl_->dev = st.st_dev;
       impl_->ino = st.st_ino;
     }
-#endif
   } else {
-#if DIOG_HAVE_MMAP
     struct stat st{};
     if (impl_->has_identity && ::stat(path_.c_str(), &st) == 0 &&
         (st.st_dev != impl_->dev || st.st_ino != impl_->ino)) {
       throw Error("run file replaced mid-follow: " + path_);
     }
-#endif
     // Chunks are immutable once complete, so the file can only grow
     // past the consumed prefix; shrinking below it means truncation —
     // the consumed events no longer match what is on disk.

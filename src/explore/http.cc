@@ -1,19 +1,9 @@
 #include "explore/http.h"
 
 #include <cstdlib>
-#include <cstring>
 
+#include "json/json.h"
 #include "support/error.h"
-
-#if defined(__unix__) || defined(__APPLE__)
-#define DIOG_HAVE_SOCKETS 1
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-#else
-#define DIOG_HAVE_SOCKETS 0
-#endif
 
 namespace diog::explore {
 
@@ -98,9 +88,20 @@ std::string_view status_text(int status) {
     case 400: return "Bad Request";
     case 404: return "Not Found";
     case 405: return "Method Not Allowed";
+    case 408: return "Request Timeout";
     case 422: return "Unprocessable Entity";
+    case 503: return "Service Unavailable";
     default: return status >= 500 ? "Internal Server Error" : "Error";
   }
+}
+
+HttpResponse error_response(int status, std::string_view message) {
+  json::Object o;
+  o["error"] = std::string(message);
+  HttpResponse r;
+  r.status = status;
+  r.body = json::Value(std::move(o)).dump();
+  return r;
 }
 
 std::string serialize_response(const HttpResponse& r) {
@@ -114,110 +115,59 @@ std::string serialize_response(const HttpResponse& r) {
   return out;
 }
 
-HttpServer::HttpServer(Handler handler) : handler_(std::move(handler)) {}
+HttpServer::HttpServer(Handler handler)
+    : handler_(std::move(handler)), server_("http", kMaxConnections) {}
 
 HttpServer::~HttpServer() { stop(); }
 
-#if DIOG_HAVE_SOCKETS
-
-void HttpServer::bind(std::uint16_t port) {
-  DIOG_CHECK(listen_fd_ < 0, "http: already bound");
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  DIOG_CHECK(fd >= 0, "http: socket() failed");
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0 ||
-      ::listen(fd, 16) != 0) {
-    ::close(fd);
-    throw Error("http: cannot listen on 127.0.0.1:" + std::to_string(port) +
-                ": " + std::strerror(errno));
-  }
-  socklen_t len = sizeof addr;
-  ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len);
-  port_ = ntohs(addr.sin_port);
-  listen_fd_ = fd;
-}
+void HttpServer::bind(std::uint16_t port) { server_.listen(port); }
 
 void HttpServer::serve() {
-  DIOG_CHECK(listen_fd_ >= 0, "http: serve() before bind()");
-  while (!stopping_.load(std::memory_order_relaxed)) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (stopping_.load(std::memory_order_relaxed)) break;
-      if (errno == EINTR) continue;
-      break;
-    }
-    handle_connection(fd);
-    ::close(fd);
-  }
+  server_.serve({
+      .handle = [this](net::Conn& conn) { handle_connection(conn); },
+      .refusal =
+          [](const std::string& reason) {
+            return serialize_response(error_response(503, reason));
+          },
+  });
 }
 
-void HttpServer::handle_connection(int fd) {
+void HttpServer::stop() { server_.stop(); }
+
+void HttpServer::handle_connection(net::Conn& conn) {
   // Read until the end of the header block (no request bodies: the
   // explorer is GET-only), with a hard cap so a hostile peer cannot
   // balloon memory.
   std::string buf;
   char chunk[4096];
-  while (buf.find("\r\n\r\n") == std::string::npos &&
-         buf.size() < 64 * 1024) {
-    const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
-    if (n <= 0) break;
-    buf.append(chunk, static_cast<std::size_t>(n));
+  try {
+    while (buf.find("\r\n\r\n") == std::string::npos &&
+           buf.size() < 64 * 1024) {
+      const std::size_t n = conn.recv_some(chunk, sizeof chunk);
+      if (n == 0) break;
+      buf.append(chunk, n);
+    }
+  } catch (const Error& e) {  // the header block is late (or the peer gone)
+    conn.send_all(serialize_response(error_response(408, e.what())));
+    return;
   }
   HttpResponse resp;
   HttpRequest req;
   const std::size_t eol = buf.find("\r\n");
   if (eol == std::string::npos ||
       !parse_request_line(std::string_view(buf).substr(0, eol), req)) {
-    resp.status = 400;
-    resp.body = "{\"error\":\"malformed request\"}";
+    resp = error_response(400, "malformed request");
   } else if (req.method != "GET" && req.method != "HEAD") {
-    resp.status = 405;
-    resp.body = "{\"error\":\"method not allowed\"}";
+    resp = error_response(405, "method not allowed");
   } else {
-    resp = handler_(req);
+    {
+      // Handlers are not thread-safe: one request at a time.
+      std::lock_guard<std::mutex> lock(handler_mu_);
+      resp = handler_(req);
+    }
     if (req.method == "HEAD") resp.body.clear();
   }
-  const std::string out = serialize_response(resp);
-  std::size_t off = 0;
-  while (off < out.size()) {
-    const ssize_t n = ::send(fd, out.data() + off, out.size() - off,
-#if defined(MSG_NOSIGNAL)
-                             MSG_NOSIGNAL
-#else
-                             0
-#endif
-    );
-    if (n <= 0) break;
-    off += static_cast<std::size_t>(n);
-  }
+  conn.send_all(serialize_response(resp));
 }
-
-void HttpServer::stop() {
-  if (stopping_.exchange(true)) {
-    return;
-  }
-  if (listen_fd_ >= 0) {
-    // shutdown() wakes a blocked accept(); close() releases the port.
-    ::shutdown(listen_fd_, SHUT_RDWR);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-}
-
-#else  // !DIOG_HAVE_SOCKETS
-
-void HttpServer::bind(std::uint16_t) {
-  throw Error("http: sockets unsupported on this platform");
-}
-void HttpServer::serve() {}
-void HttpServer::handle_connection(int) {}
-void HttpServer::stop() { stopping_.store(true); }
-
-#endif
 
 }  // namespace diog::explore

@@ -2,18 +2,21 @@
 // trace explorer: GET requests, query strings, one response per
 // connection (Connection: close), loopback only.
 //
-// The server owns only the socket plumbing. Everything interesting —
-// routing, JSON assembly, caching — lives in the Service layer, whose
-// handler this server invokes; tests exercise the handler directly
-// without sockets, and the socket path is covered by the CI smoke job.
+// The HTTP layer over the socket core (net/): concurrent connections
+// (503 beyond kMaxConnections; 408 for a header block that misses the
+// core's deadline), one handler call at a time. Everything interesting
+// — routing, JSON assembly, caching — lives in the Service layer.
 #pragma once
 
-#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <mutex>
 #include <string>
 #include <string_view>
+
+#include "net/socket.h"
 
 namespace diog::explore {
 
@@ -45,6 +48,9 @@ bool parse_request_line(std::string_view line, HttpRequest& out);
 // The reason phrase for the handful of statuses the explorer emits.
 std::string_view status_text(int status);
 
+// A JSON {"error": message} response with the given status.
+HttpResponse error_response(int status, std::string_view message);
+
 // Full response bytes (status line + headers + body).
 std::string serialize_response(const HttpResponse& r);
 
@@ -60,22 +66,23 @@ class HttpServer {
   // Binds 127.0.0.1:port (0 picks an ephemeral port) and starts
   // listening. Throws diog::Error on failure.
   void bind(std::uint16_t port);
-  [[nodiscard]] std::uint16_t port() const { return port_; }
+  [[nodiscard]] std::uint16_t port() const { return server_.port(); }
 
-  // Accept loop on the calling thread; one request per connection,
-  // handled serially. Returns after stop().
+  // Accept loop on the calling thread; one request per connection.
+  // Returns after stop(); throws diog::Error if accepting fails.
   void serve();
 
-  // Thread-safe: wakes the accept loop and makes serve() return.
+  // Thread-safe: waits for in-flight connections, makes serve() return.
   void stop();
 
  private:
-  void handle_connection(int fd);
+  static constexpr std::size_t kMaxConnections = 16;
+
+  void handle_connection(net::Conn& conn);
 
   Handler handler_;
-  int listen_fd_ = -1;
-  std::uint16_t port_ = 0;
-  std::atomic<bool> stopping_{false};
+  std::mutex handler_mu_;
+  net::Server server_;  // last: destroyed (drained) first
 };
 
 }  // namespace diog::explore

@@ -26,15 +26,6 @@ namespace {
 
 constexpr std::string_view kRunSuffix = ".dgtrace";
 
-HttpResponse error_response(int status, std::string_view message) {
-  json::Object o;
-  o["error"] = std::string(message);
-  HttpResponse r;
-  r.status = status;
-  r.body = json::Value(std::move(o)).dump();
-  return r;
-}
-
 HttpResponse json_response(json::Value v) {
   HttpResponse r;
   r.body = v.dump();
@@ -693,15 +684,15 @@ int run_explorer(const ServiceOptions& opts, std::uint16_t port) {
       [&svc](const HttpRequest& req) { return svc.handle(req); });
   try {
     server.bind(port);
+    std::printf("exploring %s\n", opts.root.c_str());
+    std::printf("listening on http://127.0.0.1:%u/\n",
+                static_cast<unsigned>(server.port()));
+    std::fflush(stdout);
+    server.serve();
   } catch (const Error& e) {
     std::fprintf(stderr, "explore: %s\n", e.what());
     return 1;
   }
-  std::printf("exploring %s\n", opts.root.c_str());
-  std::printf("listening on http://127.0.0.1:%u/\n",
-              static_cast<unsigned>(server.port()));
-  std::fflush(stdout);
-  server.serve();
   return 0;
 }
 

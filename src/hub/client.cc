@@ -2,24 +2,16 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <optional>
+#include <string_view>
 #include <vector>
 
 #include "eventstore/chunk_codec.h"
 #include "eventstore/run_format.h"
 #include "support/error.h"
-
-#if defined(__unix__) || defined(__APPLE__)
-#define DIOG_HUB_HAVE_SOCKETS 1
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-#else
-#define DIOG_HUB_HAVE_SOCKETS 0
-#endif
 
 namespace diog::hub {
 
@@ -34,74 +26,47 @@ std::int64_t wall_clock_ms() {
       .count();
 }
 
-#if DIOG_HUB_HAVE_SOCKETS
-
-int connect_to(const ClientOptions& opts) {
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(opts.port);
-  if (::inet_pton(AF_INET, opts.host.c_str(), &addr.sin_addr) != 1) {
-    throw Error("hub: not a numeric IPv4 address: " + opts.host);
-  }
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  DIOG_CHECK(fd >= 0, "hub: socket() failed");
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
-    const std::string err = std::strerror(errno);
-    ::close(fd);
-    throw Error("hub: cannot connect to " + opts.host + ":" +
-                std::to_string(opts.port) + ": " + err);
-  }
-  return fd;
-}
-
-void send_on(int fd, const char* data, std::size_t n) {
-  std::size_t off = 0;
-  while (off < n) {
-    const ssize_t sent = ::send(fd, data + off, n - off,
-#if defined(MSG_NOSIGNAL)
-                                MSG_NOSIGNAL
-#else
-                                0
-#endif
-    );
-    if (sent <= 0) {
-      if (sent < 0 && errno == EINTR) continue;
-      throw Error(std::string("hub: send failed: ") + std::strerror(errno));
-    }
-    off += static_cast<std::size_t>(sent);
-  }
-}
-
-// Reads the server's single-line verdict (connection closed after it).
-HubResponse read_verdict(int fd) {
+// Reads the server's single-line reply (connection closed after it).
+HubResponse read_response(net::Conn& conn) {
   std::string line;
   char buf[4096];
-  for (;;) {
-    const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw Error(std::string("hub: recv failed: ") + std::strerror(errno));
-    }
+  while (line.find('\n') == std::string::npos) {
+    const std::size_t n = conn.recv_some(buf, sizeof buf);
     if (n == 0) break;
-    line.append(buf, static_cast<std::size_t>(n));
-    if (line.find('\n') != std::string::npos) break;
+    line.append(buf, n);
   }
-  const std::size_t eol = line.find('\n');
-  if (eol == std::string::npos) {
-    if (line.empty()) {
-      throw Error("hub: connection closed before a response");
-    }
-  } else {
-    line.resize(eol);
-  }
-  const HubResponse resp = parse_response(line);
-  if (!resp.ok) {
-    throw Error("hub rejected the run: " + resp.error);
-  }
+  if (line.empty()) throw Error("hub: connection closed before a response");
+  return parse_response(line.substr(0, line.find('\n')));
+}
+
+Error rejection(const HubResponse& resp) {
+  return Error("hub rejected the run: " + resp.error);
+}
+
+HubResponse read_verdict(net::Conn& conn) {
+  const HubResponse resp = read_response(conn);
+  if (!resp.ok) throw rejection(resp);
   return resp;
 }
 
-#endif  // DIOG_HUB_HAVE_SOCKETS
+// Sends `bytes`, then half-closes when they are the last. A refusal
+// arrives while the client may still be sending, so the send (or the
+// half-close) fails; the verdict saying why is still readable, and wins.
+void send_or_verdict(net::Conn& conn, std::string_view bytes,
+                     bool last = false) {
+  try {
+    conn.send_all(bytes);
+    if (last) conn.shutdown_write();
+  } catch (const Error&) {
+    std::optional<HubResponse> verdict;
+    try {
+      verdict = read_response(conn);
+    } catch (const Error&) {  // nothing readable: the send error stands
+    }
+    if (verdict && !verdict->ok) throw rejection(*verdict);
+    throw;
+  }
+}
 
 std::unique_ptr<evstore::CheckpointSink> make_tcp_sink(
     const std::string& url, const std::string& workload) {
@@ -134,30 +99,15 @@ ClientOptions parse_tcp_url(const std::string& url,
   return opts;
 }
 
-#if DIOG_HUB_HAVE_SOCKETS
-
 HubResponse push_bytes(const unsigned char* data, std::size_t n,
                        const ClientOptions& opts) {
-  const int fd = connect_to(opts);
-  struct Closer {
-    int fd;
-    ~Closer() { ::close(fd); }
-  } closer{fd};
-  const std::string hello = encode_hello(opts.workload);
-  send_on(fd, hello.data(), hello.size());
-  send_on(fd, reinterpret_cast<const char*>(data), n);
-  ::shutdown(fd, SHUT_WR);
-  return read_verdict(fd);
+  net::Conn conn = net::connect("hub", opts.host, opts.port);
+  send_or_verdict(conn, encode_hello(opts.workload));
+  send_or_verdict(
+      conn, std::string_view(reinterpret_cast<const char*>(data), n),
+      /*last=*/true);
+  return read_verdict(conn);
 }
-
-#else
-
-HubResponse push_bytes(const unsigned char*, std::size_t,
-                       const ClientOptions&) {
-  throw Error("hub: sockets unsupported on this platform");
-}
-
-#endif
 
 HubResponse push_run_file(const std::string& path, ClientOptions opts) {
   if (opts.workload.empty()) {
@@ -181,42 +131,17 @@ HubResponse push_run_file(const std::string& path, ClientOptions opts) {
 
 // --- HubSink -----------------------------------------------------------------
 
-#if DIOG_HUB_HAVE_SOCKETS
-
-HubSink::HubSink(ClientOptions copts, Options opts) : opts_(opts) {
-  fd_ = connect_to(copts);
-  try {
-    const std::string hello = encode_hello(copts.workload);
-    send_on(fd_, hello.data(), hello.size());
-    std::string header;
-    codec::put_bytes(header, fmt::kMagic, sizeof(fmt::kMagic));
-    codec::put_u32(header, evstore::kFormatVersion);
-    codec::put_u32(header, 0);  // reserved
-    send_on(fd_, header.data(), header.size());
-  } catch (...) {
-    ::close(fd_);
-    fd_ = -1;
-    throw;
-  }
+HubSink::HubSink(ClientOptions copts, Options opts)
+    : opts_(opts), conn_(net::connect("hub", copts.host, copts.port)) {
+  send_or_verdict(*conn_, encode_hello(copts.workload));
+  std::string header;
+  codec::put_bytes(header, fmt::kMagic, sizeof(fmt::kMagic));
+  codec::put_u32(header, evstore::kFormatVersion);
+  codec::put_u32(header, 0);  // reserved
+  send_or_verdict(*conn_, header);
 }
 
-HubSink::~HubSink() {
-  if (fd_ >= 0) ::close(fd_);
-}
-
-void HubSink::send_bytes(const std::string& bytes) {
-  send_on(fd_, bytes.data(), bytes.size());
-}
-
-#else
-
-HubSink::HubSink(ClientOptions, Options) {
-  throw Error("hub: sockets unsupported on this platform");
-}
 HubSink::~HubSink() = default;
-void HubSink::send_bytes(const std::string&) {}
-
-#endif
 
 // The LiveRunWriter high-water-mark discipline, pointed at the wire:
 // one chunk per checkpoint carrying everything appended (and every
@@ -258,7 +183,7 @@ bool HubSink::send_delta_chunk(const evstore::TraceRun& run, bool force) {
                                .names_to = name_count};
   codec::encode_chunk_blob(arena_, store, meta_json, dicts, chunk_first,
                            count, chunk_first - first_avail);
-  send_bytes(arena_.blob);
+  send_or_verdict(*conn_, arena_.blob);
 
   next_event_ = total;
   frames_written_ = frame_count;
@@ -298,7 +223,7 @@ void HubSink::send_save_layout(const evstore::TraceRun& run) {
     codec::encode_chunk_blob(arena_, store, meta_json,
                              i == 0 ? all_dicts : codec::DictRange{},
                              first_avail + rel_first, count, rel_first);
-    send_bytes(arena_.blob);
+    send_or_verdict(*conn_, arena_.blob);
   }
 
   next_event_ = first_avail + n;
@@ -323,14 +248,12 @@ void HubSink::finish(const evstore::TraceRun& run) {
   }
   const std::int64_t wall_ms =
       opts_.footer_wall_ms >= 0 ? opts_.footer_wall_ms : wall_clock_ms();
-  send_bytes(
-      codec::encode_footer(/*final=*/true, next_event_, chunks_, wall_ms));
-#if DIOG_HUB_HAVE_SOCKETS
-  ::shutdown(fd_, SHUT_WR);
-  response_ = read_verdict(fd_);
-  ::close(fd_);
-  fd_ = -1;
-#endif
+  send_or_verdict(
+      *conn_,
+      codec::encode_footer(/*final=*/true, next_event_, chunks_, wall_ms),
+      /*last=*/true);
+  response_ = read_verdict(*conn_);
+  conn_.reset();
   finished_ = true;
 }
 

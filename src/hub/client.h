@@ -15,10 +15,14 @@
 // exactly what a SIGKILL'd local writer leaves. When finish() is the
 // first thing that ships data (a run with no intermediate checkpoints),
 // the stream is byte-identical to save_run of the same store.
+// Both block the calling thread on the socket core (net/). A hub that
+// refuses a stream still being sent makes the send fail (EPIPE/RST);
+// the client then reads the refusal and throws that, not the reset.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -26,6 +30,7 @@
 #include "eventstore/run.h"
 #include "eventstore/sink.h"
 #include "hub/protocol.h"
+#include "net/socket.h"
 
 namespace diog::hub {
 
@@ -79,10 +84,9 @@ class HubSink : public evstore::CheckpointSink {
  private:
   bool send_delta_chunk(const evstore::TraceRun& run, bool force);
   void send_save_layout(const evstore::TraceRun& run);
-  void send_bytes(const std::string& bytes);
 
   Options opts_;
-  int fd_ = -1;
+  std::optional<net::Conn> conn_;  // reset once finish() has the verdict
   bool finished_ = false;
   HubResponse response_;
   // Reused across checkpoints; the wire chunk is the same encoder

@@ -1,8 +1,6 @@
 #include "hub/server.h"
 
-#include <cstring>
 #include <filesystem>
-#include <thread>
 #include <utility>
 
 #include "archive/archive.h"
@@ -12,29 +10,21 @@
 #include "support/error.h"
 #include "testkit/fault_plan.h"
 
-#if defined(__unix__) || defined(__APPLE__)
-#define DIOG_HUB_HAVE_SOCKETS 1
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-#else
-#define DIOG_HUB_HAVE_SOCKETS 0
-#endif
-
 namespace diog::hub {
 
 namespace {
 
-void count_error() {
-  if (obs::Telemetry::enabled()) {
-    obs::Telemetry::global().metrics().counter("hub.errors").inc();
-  }
+// The verdict line for a refused or failed session.
+std::string refusal(const std::string& error) {
+  HubResponse r;
+  r.error = error;
+  return encode_response(r);
 }
 
 }  // namespace
 
-HubServer::HubServer(ServerOptions opts) : opts_(std::move(opts)) {
+HubServer::HubServer(ServerOptions opts)
+    : opts_(std::move(opts)), server_("hub", opts_.max_clients) {
   DIOG_CHECK(!opts_.archive_root.empty(), "hub: no archive root");
   if (opts_.spool_dir.empty()) {
     opts_.spool_dir = opts_.archive_root + "/spool";
@@ -81,94 +71,18 @@ IngestOutcome HubServer::ingest(const Session& session) {
   return out;
 }
 
-#if DIOG_HUB_HAVE_SOCKETS
-
-void HubServer::bind() {
-  DIOG_CHECK(listen_fd_ < 0, "hub: already bound");
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  DIOG_CHECK(fd >= 0, "hub: socket() failed");
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(opts_.port);
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0 ||
-      ::listen(fd, 16) != 0) {
-    ::close(fd);
-    throw Error("hub: cannot listen on 127.0.0.1:" +
-                std::to_string(opts_.port) + ": " + std::strerror(errno));
-  }
-  socklen_t len = sizeof addr;
-  ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len);
-  port_ = ntohs(addr.sin_port);
-  listen_fd_ = fd;
-}
-
-void HubServer::send_all(int fd, const std::string& bytes) {
-  std::size_t off = 0;
-  while (off < bytes.size()) {
-    const ssize_t n = ::send(fd, bytes.data() + off, bytes.size() - off,
-#if defined(MSG_NOSIGNAL)
-                             MSG_NOSIGNAL
-#else
-                             0
-#endif
-    );
-    if (n <= 0) break;  // best effort: the peer may already be gone
-    off += static_cast<std::size_t>(n);
-  }
-}
+void HubServer::bind() { server_.listen(opts_.port); }
 
 void HubServer::serve() {
-  DIOG_CHECK(listen_fd_ >= 0, "hub: serve() before bind()");
-  while (!stopping_.load(std::memory_order_relaxed)) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (stopping_.load(std::memory_order_relaxed)) break;
-      if (errno == EINTR) continue;
-      break;
-    }
-    try {
-      if (testkit::fault_at("hub.accept") != nullptr) {
-        throw Error("hub: accept failed (injected fault)");
-      }
-      bool admit = false;
-      {
-        std::lock_guard<std::mutex> lock(active_mu_);
-        if (active_ < opts_.max_clients) {
-          ++active_;
-          admit = true;
-        }
-      }
-      if (!admit) {
-        throw Error("hub: at capacity (" + std::to_string(opts_.max_clients) +
-                    " clients)");
-      }
-    } catch (const Error& e) {
-      // Per-connection failure, never a daemon failure: answer with the
-      // classified error and keep accepting.
-      count_error();
-      HubResponse refusal;
-      refusal.ok = false;
-      refusal.error = e.what();
-      send_all(fd, encode_response(refusal));
-      ::close(fd);
-      continue;
-    }
-    std::thread([this, fd] {
-      handle_connection(fd);
-      ::close(fd);
-      {
-        std::lock_guard<std::mutex> lock(active_mu_);
-        --active_;
-      }
-      active_cv_.notify_all();
-    }).detach();
-  }
+  server_.serve({
+      .handle = [this](net::Conn& conn) { handle_connection(conn); },
+      .refusal = refusal,
+  });
 }
 
-void HubServer::handle_connection(int fd) {
+void HubServer::stop() { server_.stop(); }
+
+void HubServer::handle_connection(net::Conn& conn) {
   Session session(SessionOptions{
       .spool_path = next_spool_path(),
       .max_pending_bytes = opts_.max_pending_bytes,
@@ -176,19 +90,18 @@ void HubServer::handle_connection(int fd) {
   });
   HubResponse resp;
   try {
+    if (testkit::fault_at("hub.accept") != nullptr) {
+      throw Error("hub: accept failed (injected fault)");
+    }
     unsigned char buf[1 << 16];
     for (;;) {
       if (testkit::fault_at("hub.session.read") != nullptr) {
         throw Error("hub: read failed on session (injected fault)");
       }
-      const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        throw Error(std::string("hub: recv failed: ") +
-                    std::strerror(errno));
-      }
+      const std::size_t n = conn.recv_some(buf, sizeof buf);
       if (n == 0) break;  // peer shut down its write side
-      session.feed(buf, static_cast<std::size_t>(n));
+      session.feed(buf, n);
+      if (session.hello_done()) conn.first_message_done();
     }
     session.end_of_stream();
     const IngestOutcome out = ingest(session);
@@ -200,36 +113,12 @@ void HubServer::handle_connection(int fd) {
     resp.dropped = session.stats().dropped;
     resp.drift_findings = out.drift_findings;
   } catch (const Error& e) {
-    count_error();
-    resp.ok = false;
-    resp.error = e.what();
+    // Answered with the classified error; rethrown, the core counts it
+    // as hub.errors.
+    conn.send_all(refusal(e.what()));
+    throw;
   }
-  send_all(fd, encode_response(resp));
+  conn.send_all(encode_response(resp));
 }
-
-void HubServer::stop() {
-  if (stopping_.exchange(true)) return;
-  if (listen_fd_ >= 0) {
-    // shutdown() wakes a blocked accept(); close() releases the port.
-    ::shutdown(listen_fd_, SHUT_RDWR);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-  // Drain in-flight sessions so destruction never races a handler.
-  std::unique_lock<std::mutex> lock(active_mu_);
-  active_cv_.wait(lock, [this] { return active_ == 0; });
-}
-
-#else  // !DIOG_HUB_HAVE_SOCKETS
-
-void HubServer::bind() {
-  throw Error("hub: sockets unsupported on this platform");
-}
-void HubServer::serve() {}
-void HubServer::handle_connection(int) {}
-void HubServer::send_all(int, const std::string&) {}
-void HubServer::stop() { stopping_.store(true); }
-
-#endif
 
 }  // namespace diog::hub

@@ -1,27 +1,25 @@
 // The trace hub daemon: concurrent streaming ingestion into the fleet
 // archive over loopback TCP.
 //
-// Thread model: serve() accepts on the calling thread and hands each
-// connection to its own short-lived thread, bounded by max_clients
-// (connections beyond the bound get an immediate classified capacity
-// error). Sessions are independent — each owns its spool file and the
-// obs registry is thread-safe — except for the final ingest step:
-// archive::add + the regression sentinel serialize on one mutex,
+// Thread model: the socket core (net/) runs each connection on its own
+// thread, bounded by max_clients (beyond it: a classified "at capacity"
+// error line). The hello must complete within net::kFirstMessageDeadline;
+// after it there is no idle limit, since a --sink stream is quiet
+// between checkpoints. Sessions are independent — each owns its spool
+// file and the obs registry is thread-safe — except for the final ingest
+// step: archive::add + the regression sentinel serialize on one mutex,
 // because the index is an append-only file, not a concurrent structure.
-//
-// The socket half is POSIX-only (same gate as run_io's mmap); the
-// session/ingest half (everything tests need to drive the protocol) is
-// portable and socket-free.
+// The session/ingest half is socket-free, so tests drive it directly.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <mutex>
 #include <string>
 
 #include "core/tool_config.h"
 #include "hub/session.h"
+#include "net/socket.h"
 
 namespace diog::hub {
 
@@ -53,10 +51,10 @@ class HubServer {
   HubServer(const HubServer&) = delete;
   HubServer& operator=(const HubServer&) = delete;
 
-  // Socket half. bind() throws off-POSIX and on a taken port; serve()
-  // blocks until stop(), which waits for in-flight sessions to drain.
+  // Socket half. bind() throws on a taken port; serve() blocks until
+  // stop(), which waits for in-flight sessions to drain.
   void bind();
-  [[nodiscard]] std::uint16_t port() const { return port_; }
+  [[nodiscard]] std::uint16_t port() const { return server_.port(); }
   void serve();
   void stop();
 
@@ -73,18 +71,12 @@ class HubServer {
   [[nodiscard]] const ServerOptions& options() const { return opts_; }
 
  private:
-  void handle_connection(int fd);
-  static void send_all(int fd, const std::string& bytes);
+  void handle_connection(net::Conn& conn);
 
   ServerOptions opts_;
   std::mutex ingest_mu_;
   std::atomic<std::uint64_t> session_seq_{0};
-  std::uint16_t port_ = 0;
-  int listen_fd_ = -1;
-  std::atomic<bool> stopping_{false};
-  std::mutex active_mu_;
-  std::condition_variable active_cv_;
-  std::size_t active_ = 0;
+  net::Server server_;  // last: destroyed (drained) first
 };
 
 }  // namespace diog::hub

@@ -1,5 +1,7 @@
 #include "hub/session.h"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <filesystem>
 
@@ -8,13 +10,6 @@
 #include "obs/telemetry.h"
 #include "support/error.h"
 #include "testkit/fault_plan.h"
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <unistd.h>
-#define DIOG_HAVE_FSYNC 1
-#else
-#define DIOG_HAVE_FSYNC 0
-#endif
 
 namespace diog::hub {
 
@@ -199,7 +194,6 @@ void Session::spool_sync() {
   if (spool_ == nullptr) return;
   DIOG_CHECK(std::fflush(spool_) == 0,
              "flush failed for hub spool: " + opts_.spool_path);
-#if DIOG_HAVE_FSYNC
   if (opts_.fsync_spool) {
     if (testkit::fault_at("hub.spool.fsync") != nullptr) {
       throw Error("fsync failed for hub spool: " + opts_.spool_path +
@@ -208,7 +202,6 @@ void Session::spool_sync() {
     DIOG_CHECK(::fsync(::fileno(spool_)) == 0,
                "fsync failed for hub spool: " + opts_.spool_path);
   }
-#endif
 }
 
 void Session::spool_close() {

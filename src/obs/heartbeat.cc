@@ -3,19 +3,13 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <csignal>
 #include <cstdlib>
 #include <filesystem>
 #include <vector>
 
 #include "obs/telemetry.h"
 #include "support/error.h"
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <csignal>
-#define DIOG_HAVE_SIGUSR1 1
-#else
-#define DIOG_HAVE_SIGUSR1 0
-#endif
 
 namespace diog::obs {
 
@@ -24,13 +18,11 @@ namespace {
 std::atomic<std::uint64_t> g_request_seq{0};
 std::atomic<const char*> g_current_stage{""};
 
-#if DIOG_HAVE_SIGUSR1
 void on_sigusr1(int /*signo*/) {
   // The only thing a handler may do here: bump a lock-free atomic. The
   // reporter thread and the flight recorder poll the sequence.
   g_request_seq.fetch_add(1, std::memory_order_relaxed);
 }
-#endif
 
 std::int64_t wall_clock_ms() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -47,13 +39,11 @@ std::vector<HeartbeatReporter*>& live_reporters() {
 }  // namespace
 
 void install_checkpoint_signal_handler() {
-#if DIOG_HAVE_SIGUSR1
   struct sigaction sa{};
   sa.sa_handler = on_sigusr1;
   sa.sa_flags = SA_RESTART;
   sigemptyset(&sa.sa_mask);
   ::sigaction(SIGUSR1, &sa, nullptr);
-#endif
 }
 
 void request_checkpoint() {

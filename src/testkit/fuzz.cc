@@ -1,5 +1,8 @@
 #include "testkit/fuzz.h"
 
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <array>
 #include <chrono>
@@ -20,14 +23,6 @@
 #include "hub/protocol.h"
 #include "hub/session.h"
 #include "support/error.h"
-
-#if defined(__unix__) || defined(__APPLE__)
-#define DIOG_TESTKIT_HAVE_FORK 1
-#include <sys/wait.h>
-#include <unistd.h>
-#else
-#define DIOG_TESTKIT_HAVE_FORK 0
-#endif
 
 namespace diog::testkit {
 
@@ -100,7 +95,6 @@ std::optional<std::string> exec_run_io(const std::string& path,
                                        FuzzStats& stats,
                                        std::set<std::string>& classes) {
   const OpenOutcome a = open_one(path, evstore::ReadMode::kStream);
-#if defined(__unix__) || defined(__APPLE__)
   const OpenOutcome b = open_one(path, evstore::ReadMode::kMmap);
   if (a.cls != b.cls || a.events != b.events || a.chunks != b.chunks ||
       a.finalized != b.finalized || a.dropped != b.dropped) {
@@ -112,7 +106,6 @@ std::optional<std::string> exec_run_io(const std::string& path,
        << " err=" << b.error << "}";
     return os.str();
   }
-#endif
   switch (a.cls) {
     case OpenOutcome::kClean:
       ++stats.clean_ok;
@@ -832,7 +825,6 @@ std::string FuzzStats::render() const {
 
 int minimize_artifact(const std::string& artifact_path,
                       const FuzzOptions& opts) {
-#if DIOG_TESTKIT_HAVE_FORK
   const Bytes original = read_file(artifact_path);
   const fs::path workdir =
       fs::path(artifact_path).parent_path() / "minimize-work";
@@ -868,11 +860,6 @@ int minimize_artifact(const std::string& artifact_path,
   const Bytes minimized = minimize_input(original, reproduces);
   write_file(artifact_path + ".min", minimized);
   return 1;
-#else
-  (void)artifact_path;
-  (void)opts;
-  throw Error("artifact minimization requires fork(); unavailable here");
-#endif
 }
 
 }  // namespace diog::testkit

@@ -1,12 +1,18 @@
-// The trace explorer (ISSUE 6): HTTP parsing, the LoD aggregation
-// layer's determinism contract, the Service error model over empty and
-// torn runs, the viewport byte budget at a million events, the filtered
-// dump's predicate pushdown, and the explanation engine's totality.
+// The trace explorer: HTTP parsing, the server's socket path
+// (idle and slow-drip peers, malformed and non-GET requests), the LoD
+// aggregation layer's determinism contract, the Service error model over
+// empty and torn runs, the viewport byte budget at a million events, the
+// filtered dump's predicate pushdown, and the explanation engine's
+// totality.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <future>
+#include <optional>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -21,6 +27,9 @@
 #include "explore/http.h"
 #include "explore/service.h"
 #include "json/json.h"
+#include "net/socket.h"
+#include "obs/obs.h"
+#include "obs/telemetry.h"
 #include "parallel/thread_pool.h"
 #include "testkit/synth_run.h"
 
@@ -86,6 +95,137 @@ TEST(ExploreHttp, ParseRequestLineSplitsPathAndQuery) {
 
   EXPECT_FALSE(explore::parse_request_line("garbage", req));
   EXPECT_FALSE(explore::parse_request_line("GET /x", req));
+}
+
+TEST(ExploreHttp, StatusTextNamesTheSocketCoreStatuses) {
+  EXPECT_EQ(explore::status_text(408), "Request Timeout");
+  EXPECT_EQ(explore::status_text(503), "Service Unavailable");
+  EXPECT_EQ(explore::status_text(500), "Internal Server Error");
+}
+
+// --- HTTP over loopback -----------------------------------------------------
+
+// A Service over an empty root, served on an ephemeral port until the
+// end of the scope.
+class ServedExplorer {
+ public:
+  explicit ServedExplorer(const std::string& root)
+      : svc_(explore::ServiceOptions{
+            .root = root, .config = {}, .archive_root = {}}),
+        http_([this](const explore::HttpRequest& req) {
+          return svc_.handle(req);
+        }) {
+    http_.bind(0);
+    thread_ = std::thread([this] { http_.serve(); });
+  }
+  ~ServedExplorer() {
+    http_.stop();
+    thread_.join();
+  }
+  ServedExplorer(const ServedExplorer&) = delete;
+  ServedExplorer& operator=(const ServedExplorer&) = delete;
+
+  [[nodiscard]] net::Conn connect() const {
+    return net::connect("test", "127.0.0.1", http_.port());
+  }
+
+ private:
+  explore::Service svc_;
+  explore::HttpServer http_;
+  std::thread thread_;
+};
+
+// Reads until the server closes. A reset after the response (the peer
+// was still sending) keeps what arrived.
+std::string read_until_close(net::Conn& conn) {
+  std::string out;
+  char buf[4096];
+  try {
+    while (const std::size_t n = conn.recv_some(buf, sizeof buf)) {
+      out.append(buf, n);
+    }
+  } catch (const Error&) {
+  }
+  return out;
+}
+
+std::string exchange(const ServedExplorer& server, std::string_view request) {
+  net::Conn conn = server.connect();
+  conn.send_all(request);
+  return read_until_close(conn);
+}
+
+std::string body_of(const std::string& response) {
+  const std::size_t end = response.find("\r\n\r\n");
+  return end == std::string::npos ? "" : response.substr(end + 4);
+}
+
+TEST_F(ExploreTest, IdlePeerDoesNotDelayOtherRequests) {
+  ServedExplorer server(dir_);
+  std::optional<net::Conn> idle = server.connect();
+  auto reply = std::async(std::launch::async, [&server] {
+    return exchange(server, "GET /healthz HTTP/1.1\r\n\r\n");
+  });
+  const bool in_time =
+      reply.wait_for(std::chrono::seconds(1)) == std::future_status::ready;
+  idle.reset();  // a server that waits on the idle peer is released here
+  ASSERT_TRUE(in_time) << "/healthz waited on an idle connection";
+  const std::string response = reply.get();
+  EXPECT_EQ(response.rfind("HTTP/1.1 200 OK\r\n", 0), 0u) << response;
+  EXPECT_EQ(body_of(response), "{\"ok\":true}");
+}
+
+TEST_F(ExploreTest, SlowDripHeaderGets408AtTheDeadline) {
+  ServedExplorer server(dir_);
+  const std::uint64_t expired_before = obs::Telemetry::global()
+                                           .metrics()
+                                           .counter("http.deadline_expired")
+                                           .value();
+  const auto start = std::chrono::steady_clock::now();
+  net::Conn conn = server.connect();
+  const std::string request = "GET /healthz HTTP/1.1\r\nHost: 127.0.0.1\r\n\r\n";
+  for (char byte : request) {
+    try {
+      conn.send_all(std::string_view(&byte, 1));
+    } catch (const Error&) {
+      break;  // the server answered and closed
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  }
+  const std::string response = read_until_close(conn);
+  const auto waited = std::chrono::steady_clock::now() - start;
+  EXPECT_EQ(response.rfind("HTTP/1.1 408 Request Timeout\r\n", 0), 0u)
+      << response;
+  json::Value body = json::parse(body_of(response));
+  EXPECT_NE(body["error"].as_string().find("deadline expired"),
+            std::string::npos);
+  EXPECT_GE(waited, net::kFirstMessageDeadline - std::chrono::milliseconds(100));
+  if (obs::kCompiledIn) {
+    EXPECT_EQ(obs::Telemetry::global()
+                      .metrics()
+                      .counter("http.deadline_expired")
+                      .value() -
+                  expired_before,
+              1u);
+  }
+}
+
+TEST_F(ExploreTest, MalformedAndNonGetRequestsOverTheSocket) {
+  ServedExplorer server(dir_);
+  const std::string bad = exchange(server, "garbage\r\n\r\n");
+  EXPECT_EQ(bad.rfind("HTTP/1.1 400 Bad Request\r\n", 0), 0u) << bad;
+  EXPECT_EQ(body_of(bad), "{\"error\":\"malformed request\"}");
+
+  const std::string post = exchange(server, "POST /healthz HTTP/1.1\r\n\r\n");
+  EXPECT_EQ(post.rfind("HTTP/1.1 405 Method Not Allowed\r\n", 0), 0u)
+      << post;
+  EXPECT_EQ(body_of(post), "{\"error\":\"method not allowed\"}");
+
+  // A peer that half-closes without a request is answered at once.
+  net::Conn half = server.connect();
+  half.shutdown_write();
+  const std::string empty = read_until_close(half);
+  EXPECT_EQ(empty.rfind("HTTP/1.1 400 Bad Request\r\n", 0), 0u) << empty;
 }
 
 // --- LoD binning ------------------------------------------------------------

@@ -7,9 +7,17 @@
 // writer leaves, and an archived upload is byte-identical to a local
 // save of the same store. The session half runs without sockets (the
 // daemon's exact code path, driven directly); the loopback tests cover
-// the accept/read/respond plumbing and concurrent ingestion.
+// the accept/read/respond plumbing, concurrent ingestion, and the socket
+// core's rules: the hello deadline, the capacity verdict, and accept at
+// the descriptor limit.
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/resource.h>
+#include <sys/socket.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -29,16 +37,12 @@
 #include "hub/protocol.h"
 #include "hub/server.h"
 #include "hub/session.h"
+#include "net/socket.h"
+#include "obs/obs.h"
 #include "obs/telemetry.h"
 #include "support/error.h"
 #include "testkit/dgtrace_builder.h"
 #include "testkit/synth_run.h"
-
-#if defined(__unix__) || defined(__APPLE__)
-#define DIOG_HUB_TEST_SOCKETS 1
-#else
-#define DIOG_HUB_TEST_SOCKETS 0
-#endif
 
 namespace diog::hub {
 namespace {
@@ -494,23 +498,28 @@ TEST_F(HubTest, ServerRefusesToIngestAnUnfinalizedSession) {
   EXPECT_TRUE(fs::exists(session->spool_path()));
 }
 
-#if DIOG_HUB_TEST_SOCKETS
-
 // --- Loopback end-to-end -----------------------------------------------------
 
 class ServeGuard {
  public:
   explicit ServeGuard(HubServer& server) : server_(server) {
     server_.bind();
-    thread_ = std::thread([this] { server_.serve(); });
+    thread_ = std::thread([this] {
+      server_.serve();
+      returned_ = true;
+    });
   }
   ~ServeGuard() {
     server_.stop();
     thread_.join();
   }
 
+  // False once serve() has returned, which only stop() should cause.
+  [[nodiscard]] bool serving() const { return !returned_.load(); }
+
  private:
   HubServer& server_;
+  std::atomic<bool> returned_{false};
   std::thread thread_;
 };
 
@@ -751,6 +760,180 @@ TEST_F(HubTest, BadSinkUrlFailsTheRecorderBeforeCollection) {
   EXPECT_THROW(ffm::FlightRecorder(run, cfg, "w"), Error);
 }
 
+// --- Socket core: hello deadline, capacity, descriptor limit -----------------
+
+// Reads one reply line from a raw peer. Stops at the newline, so a reset
+// that follows the line does not matter.
+std::string read_line(net::Conn& peer) {
+  std::string line;
+  char buf[512];
+  while (line.find('\n') == std::string::npos) {
+    const std::size_t n = peer.recv_some(buf, sizeof buf);
+    if (n == 0) break;
+    line.append(buf, n);
+  }
+  return line.substr(0, line.find('\n'));
+}
+
+net::Conn connect_peer(const HubServer& server) {
+  return net::connect("test", "127.0.0.1", server.port());
+}
+
+TEST_F(HubTest, HellolessPeersAreDroppedAtTheDeadlineThenAPushArchives) {
+  ServerOptions sopts;
+  sopts.archive_root = dir_ + "/archive";
+  sopts.ingest_wall_ms = 0;
+  sopts.max_clients = 2;
+  HubServer server(std::move(sopts));
+  ServeGuard guard(server);
+
+  const std::uint64_t expired_before = hub_counter("hub.deadline_expired");
+  const auto start = std::chrono::steady_clock::now();
+  std::vector<net::Conn> peers;
+  peers.push_back(connect_peer(server));
+  peers.push_back(connect_peer(server));
+  for (net::Conn& peer : peers) {
+    const HubResponse r = parse_response(read_line(peer));
+    EXPECT_FALSE(r.ok);
+    EXPECT_NE(r.error.find("deadline expired"), std::string::npos) << r.error;
+    char byte = 0;
+    EXPECT_EQ(peer.recv_some(&byte, 1), 0u);  // then the hub closes
+  }
+  const auto waited = std::chrono::steady_clock::now() - start;
+  EXPECT_GE(waited, net::kFirstMessageDeadline - std::chrono::milliseconds(100));
+  EXPECT_LT(waited, std::chrono::seconds(10));
+  if (obs::kCompiledIn) {
+    EXPECT_EQ(hub_counter("hub.deadline_expired") - expired_before, 2u);
+  }
+
+  // Both slots are free again.
+  const evstore::TraceRun run = make_run(300, "after_idle");
+  const std::vector<unsigned char> bytes = pinned_save_bytes(run, "a.dgtrace");
+  ClientOptions copts;
+  copts.port = server.port();
+  copts.workload = "after_idle";
+  const HubResponse r = push_bytes(bytes.data(), bytes.size(), copts);
+  EXPECT_TRUE(r.ok);
+  EXPECT_EQ(read_bytes(dir_ + "/archive/objects/" + r.run_id + ".dgtrace"),
+            bytes);
+}
+
+TEST_F(HubTest, SlowDripHelloGetsAClassifiedRefusal) {
+  ServerOptions sopts;
+  sopts.archive_root = dir_ + "/archive";
+  HubServer server(std::move(sopts));
+  ServeGuard guard(server);
+
+  // One byte every 100 ms: the hello would take seconds past the
+  // deadline, which is total, not per read.
+  net::Conn peer = connect_peer(server);
+  const std::string hello = encode_hello("drip_wl");
+  bool cut = false;
+  for (char byte : hello) {
+    try {
+      peer.send_all(std::string_view(&byte, 1));
+    } catch (const Error&) {
+      cut = true;  // the hub answered and closed
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  }
+  if (!cut) peer.shutdown_write();
+  const HubResponse r = parse_response(read_line(peer));
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.error.find("hub: first message not received"),
+            std::string::npos)
+      << r.error;
+}
+
+TEST_F(HubTest, HalfClosedPeerIsRefusedWithoutWaitingForTheDeadline) {
+  ServerOptions sopts;
+  sopts.archive_root = dir_ + "/archive";
+  HubServer server(std::move(sopts));
+  ServeGuard guard(server);
+
+  const auto start = std::chrono::steady_clock::now();
+  net::Conn peer = connect_peer(server);
+  peer.shutdown_write();
+  const HubResponse r = parse_response(read_line(peer));
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.error.find("stream ended before the hello"), std::string::npos)
+      << r.error;
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            net::kFirstMessageDeadline);
+}
+
+TEST_F(HubTest, RefusedPusherReadsTheCapacityVerdict) {
+  ServerOptions sopts;
+  sopts.archive_root = dir_ + "/archive";
+  sopts.max_clients = 1;
+  HubServer server(std::move(sopts));
+  ServeGuard guard(server);
+
+  const std::uint64_t refused_before = hub_counter("hub.refused");
+  // The only slot goes to a peer that never says hello; the push behind
+  // it is refused while it is still sending, and must say why.
+  net::Conn holder = connect_peer(server);
+  const std::vector<unsigned char> bytes(32u << 20, 0xAB);
+  ClientOptions copts;
+  copts.port = server.port();
+  copts.workload = "refused_wl";
+  try {
+    (void)push_bytes(bytes.data(), bytes.size(), copts);
+    FAIL() << "push admitted past max_clients";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("at capacity"), std::string::npos)
+        << e.what();
+  }
+  if (obs::kCompiledIn) {
+    EXPECT_EQ(hub_counter("hub.refused") - refused_before, 1u);
+  }
+}
+
+TEST_F(HubTest, AcceptAtTheDescriptorLimitKeepsServing) {
+  ServerOptions sopts;
+  sopts.archive_root = dir_ + "/archive";
+  sopts.ingest_wall_ms = 0;
+  HubServer server(std::move(sopts));
+  ServeGuard guard(server);
+
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  {
+    // The idle peer's socket is the last descriptor the lowered limit
+    // allows, so the hub's next accept fails with EMFILE. (accept takes
+    // its descriptor before it blocks, which is why the limit drops
+    // between socket() and connect().)
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    net::Conn idle("test", fd);
+    rlimit low = saved;
+    low.rlim_cur = static_cast<rlim_t>(fd) + 1;
+    ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &low), 0);
+    struct Restore {
+      const rlimit& saved;
+      ~Restore() { ::setrlimit(RLIMIT_NOFILE, &saved); }
+    } restore{saved};
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(server.port());
+    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr),
+              0);
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  }
+  ASSERT_TRUE(guard.serving()) << "serve() ended on EMFILE";
+
+  // The idle peer closed and the limit is back: a push archives.
+  const evstore::TraceRun run = make_run(300, "after_emfile");
+  const std::vector<unsigned char> bytes = pinned_save_bytes(run, "e.dgtrace");
+  ClientOptions copts;
+  copts.port = server.port();
+  copts.workload = "after_emfile";
+  EXPECT_TRUE(push_bytes(bytes.data(), bytes.size(), copts).ok);
+  EXPECT_TRUE(guard.serving());
+}
+
 // --- Concurrency soak --------------------------------------------------------
 
 TEST_F(HubTest, ConcurrentWritersAllLandByteIdenticalAndCountersReconcile) {
@@ -827,8 +1010,6 @@ TEST_F(HubTest, ConcurrentWritersAllLandByteIdenticalAndCountersReconcile) {
   }
   EXPECT_EQ(spools, 0u);
 }
-
-#endif  // DIOG_HUB_TEST_SOCKETS
 
 }  // namespace
 }  // namespace diog::hub

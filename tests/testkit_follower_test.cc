@@ -71,7 +71,6 @@ TEST_F(FollowerTest, TruncationToZeroIsDetected) {
   EXPECT_THROW((void)follower.poll(), Error);
 }
 
-#if defined(__unix__) || defined(__APPLE__)
 TEST_F(FollowerTest, AtomicReplacementIsDetected) {
   write_file(path_, two_chunk_file());
   evstore::RunFollower follower(path_);
@@ -104,7 +103,6 @@ TEST_F(FollowerTest, ReplacementBeforeFirstConsumptionIsJustANewFile) {
   fs::rename(tmp, path_);
   EXPECT_EQ(follower.poll(), 20u);
 }
-#endif
 
 TEST_F(FollowerTest, NormalGrowthAndFooterRewritesAreNotFlagged) {
   // The detection must not false-positive on the legitimate pattern:

@@ -306,9 +306,6 @@ TEST(DgtraceRegression, VarintOverrunIsCorrupt) {
 }
 
 TEST(DgtraceRegression, BothReadModesAgreeOnEveryRegressionInput) {
-#if !defined(__unix__) && !defined(__APPLE__)
-  GTEST_SKIP() << "mmap unavailable";
-#endif
   const char* names[] = {
       "mini_clean.dgtrace",     "mini_multichunk.dgtrace",
       "torn_tail.dgtrace",      "zero_len_chunk.dgtrace",

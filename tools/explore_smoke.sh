@@ -18,8 +18,10 @@ SCRATCH=$(mktemp -d "${TMPDIR:-/tmp}/explore_smoke.XXXXXX")
 SERVE="$SCRATCH/serve"
 LOG="$SCRATCH/server.log"
 PID=""
+IDLE_PID=""
 
 cleanup() {
+  [ -n "$IDLE_PID" ] && kill "$IDLE_PID" 2>/dev/null || true
   [ -n "$PID" ] && kill "$PID" 2>/dev/null || true
   [ -n "$PID" ] && wait "$PID" 2>/dev/null || true
   rm -rf "$SCRATCH"
@@ -103,6 +105,28 @@ for l in lines:
   echo "ok  $code  $target" >&2
   cat "$body"
 }
+
+# An idle peer must not wedge the explorer: hold one connection open
+# without sending a byte, and require /healthz within 2 s beside it.
+python3 - "$PORT" "$SCRATCH/idle.ready" <<'PY' &
+import socket, sys, time
+peer = socket.create_connection(("127.0.0.1", int(sys.argv[1])))
+open(sys.argv[2], "w").close()
+time.sleep(30)
+PY
+IDLE_PID=$!
+for _ in $(seq 1 50); do
+  [ -e "$SCRATCH/idle.ready" ] && break
+  sleep 0.1
+done
+code=$(curl -sS -m 2 -o /dev/null -w '%{http_code}' "$BASE/healthz") \
+  || code="no answer"
+kill "$IDLE_PID" 2>/dev/null || true
+wait "$IDLE_PID" 2>/dev/null || true
+IDLE_PID=""
+[ "$code" = 200 ] \
+  || { echo "FAIL: /healthz beside an idle peer: $code"; exit 1; }
+echo "ok  200  /healthz beside an idle peer" >&2
 
 fetch /healthz > /dev/null
 fetch / > /dev/null

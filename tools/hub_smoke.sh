@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Trace-hub smoke: run `diogenes serve` (ideally under ASan/UBSan), push
 # the full corpus at it — finalized runs, boundary shapes, and the
-# malformed rejection suite — plus two synthetic workloads and a run
-# streamed live through --sink, then read the fleet surface back over
-# HTTP. The daemon's contract: every hostile stream is *refused with a
+# malformed rejection suite — plus two synthetic workloads, a run
+# streamed live through --sink, and a push behind a house full of idle
+# peers, then read the fleet surface back over HTTP. The daemon's contract: every hostile stream is *refused with a
 # classified error*, never a crash; every accepted stream is archived
 # byte-identically; a re-push deduplicates; /api/history and /metrics
 # keep answering well-formed bodies throughout.
@@ -20,8 +20,10 @@ SCRATCH=$(mktemp -d "${TMPDIR:-/tmp}/hub_smoke.XXXXXX")
 ROOT="$SCRATCH/archive"
 LOG="$SCRATCH/hub.log"
 PID=""
+PEERS_PID=""
 
 cleanup() {
+  [ -n "$PEERS_PID" ] && kill "$PEERS_PID" 2>/dev/null || true
   [ -n "$PID" ] && kill "$PID" 2>/dev/null || true
   [ -n "$PID" ] && wait "$PID" 2>/dev/null || true
   rm -rf "$SCRATCH"
@@ -123,7 +125,46 @@ find "$SCRATCH/corpus" "$SCRATCH/empty.dgtrace" -name '*.dgtrace' \
   hub_alive "after $(basename "$f")"
 done
 
-# 5. The fleet surface, read back over HTTP while the daemon is live.
+# 5. A full house: hello-less peers hold all 8 default slots, so a
+#    1M-event push behind them is refused while it is still sending. It
+#    must exit 1 with the hub's "at capacity" verdict, not the reset;
+#    the hub then drops each peer at its hello deadline.
+"$DIOGENES" synth "$SCRATCH/big.dgtrace" --events 1000000 > /dev/null
+python3 - "$HUB_PORT" "$SCRATCH/peers.ready" <<'PY' &
+import socket, sys
+peers = [socket.create_connection(("127.0.0.1", int(sys.argv[1])))
+         for _ in range(8)]
+open(sys.argv[2], "w").close()
+for peer in peers:  # until the hub closes each one
+    peer.settimeout(30)
+    try:
+        while peer.recv(4096):
+            pass
+    except ConnectionResetError:
+        pass
+PY
+PEERS_PID=$!
+for _ in $(seq 1 50); do
+  [ -e "$SCRATCH/peers.ready" ] && break
+  sleep 0.1
+done
+ERR="$SCRATCH/full.err"
+if "$DIOGENES" push "$SCRATCH/big.dgtrace" --port "$HUB_PORT" \
+    > /dev/null 2> "$ERR"; then
+  echo "FAIL: push admitted past max_clients"; exit 1
+else
+  code=$?
+  [ "$code" -eq 1 ] || { echo "FAIL: refused push exited $code"; cat "$ERR"
+                         exit 1; }
+fi
+grep -q "at capacity" "$ERR" \
+  || { echo "FAIL: refused push lost the verdict"; cat "$ERR"; exit 1; }
+wait "$PEERS_PID"
+PEERS_PID=""
+echo "ok  refused   push behind a full house: $(cat "$ERR")"
+hub_alive "after the full house"
+
+# 6. The fleet surface, read back over HTTP while the daemon is live.
 # /metrics: well-formed Prometheus exposition carrying the hub counters,
 # with per-session accounting that reconciles with what we pushed.
 fetch /metrics > "$SCRATCH/metrics.txt"
@@ -144,6 +185,7 @@ assert vals.get("diogenes_hub_ingested", 0) >= 4, vals
 assert vals.get("diogenes_hub_dedup", 0) >= 1, vals
 assert vals.get("diogenes_hub_errors", 0) >= 1, vals
 assert vals.get("diogenes_hub_sessions_active", -1) == 0, vals
+assert vals.get("diogenes_hub_deadline_expired", 0) >= 1, vals
 PY
 
 # /api/history again: the accepted corpus shapes also carry the default
