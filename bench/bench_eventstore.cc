@@ -17,8 +17,9 @@
 //                                         mismatch.
 //   bench_eventstore --min-scan-speedup X --min-save-speedup Y
 //                                         CI perf bar: exit nonzero if
-//                                         the 8-thread scan (save)
-//                                         speedup over 1 thread falls
+//                                         the 8-thread full-extent
+//                                         bin_events (save) speedup
+//                                         over 1 thread falls
 //                                         below the floor. Only
 //                                         meaningful on multi-core
 //                                         hardware; the CI job gates on
@@ -34,9 +35,9 @@
 #include <thread>
 #include <vector>
 
+#include "eventstore/aggregate.h"
 #include "eventstore/cursor.h"
 #include "eventstore/event_store.h"
-#include "eventstore/parallel_scan.h"
 #include "eventstore/run_io.h"
 #include "json/json.h"
 #include "parallel/thread_pool.h"
@@ -264,16 +265,17 @@ RingResult bench_ring(std::uint64_t n, std::uint64_t max_events) {
   return r;
 }
 
-// One row of the thread sweep: the same 1M-event store scanned, saved,
+// One row of the thread sweep: the same 1M-event store binned, saved,
 // and reopened through the parallel paths at a pinned thread count.
-// The byte-identity contract (oracle-enforced) means every row computes
-// the same answers; only the wall clock may move. On a single-core
-// container the 2- and 8-thread rows honestly show no speedup — the
-// point of recording them here is the cross-machine trend line.
+// The scans are the explorer's production scan — bin_events over the
+// run's full extent at 1024 bins, the /api/timeline full-view request —
+// unfiltered and with a kind/api/flags filter. The byte-identity
+// contract (oracle-enforced) means every row computes the same answers;
+// only the wall clock may move.
 struct ParallelResult {
   std::size_t threads = 0;
-  double scan_ms = 0;
-  double filtered_scan_ms = 0;
+  double bin_ms = 0;
+  double filtered_bin_ms = 0;
   double save_ms = 0;
   double open_ms = 0;
   std::uint64_t matched = 0;
@@ -286,22 +288,27 @@ ParallelResult bench_parallel(const TraceRun& run, std::size_t tc) {
   r.threads = tc;
   par::set_threads(tc);
   const EventStore& store = *run.store;
+  const TimeExtent ext = time_extent(store, Cursor(store));
+  constexpr std::uint32_t kBins = 1024;
 
   const double t0 = now_ms();
-  const std::uint64_t total = parallel_count(store, Cursor(store));
-  r.scan_ms = now_ms() - t0;
+  const std::uint64_t total =
+      bin_events(store, Cursor(store), ext.t_min, ext.t_max + 1, kBins)
+          .matched;
+  r.bin_ms = now_ms() - t0;
 
-  ScanStats stats;
   const double t1 = now_ms();
-  r.matched = parallel_count(store,
-                             Cursor(store)
-                                 .kind(EventKind::kOp)
-                                 .api(hooks::Fn::kCudaMemcpy)
-                                 .flags_all(flag::kPerformedTransfer),
-                             &stats);
-  r.filtered_scan_ms = now_ms() - t1;
-  r.filtered_segments_skipped = stats.segments_skipped;
-  r.filtered_blocks_skipped = stats.blocks_skipped;
+  const BinnedSpans filtered =
+      bin_events(store,
+                 Cursor(store)
+                     .kind(EventKind::kOp)
+                     .api(hooks::Fn::kCudaMemcpy)
+                     .flags_all(flag::kPerformedTransfer),
+                 ext.t_min, ext.t_max + 1, kBins);
+  r.filtered_bin_ms = now_ms() - t1;
+  r.matched = filtered.matched;
+  r.filtered_segments_skipped = filtered.stats.segments_skipped;
+  r.filtered_blocks_skipped = filtered.stats.blocks_skipped;
 
   const std::string tmp =
       "bench_eventstore_par_" + std::to_string(tc) + ".dgtrace";
@@ -387,11 +394,12 @@ int run_sweep(const std::string& out_path, double min_scan_speedup,
                   .c_str(),
               finfo.format_version, finfo.compression_ratio());
 
-  // Thread sweep over the same 1M-event run: parallel scan, filtered
-  // scan (with pushdown counters), save, open at 1/2/8 threads.
+  // Thread sweep over the same 1M-event run: full-extent bin_events,
+  // filtered bin_events (with pushdown counters), save, open at 1/2/8
+  // threads.
   const std::size_t ambient = par::threads_override();
-  std::printf("%8s %12s %14s %10s %10s %10s\n", "threads", "scan/s",
-              "filt scan/s", "seg skip", "save ms", "open ms");
+  std::printf("%8s %12s %14s %10s %10s %10s\n", "threads", "bin/s",
+              "filt bin/s", "seg skip", "save ms", "open ms");
   json::Array par_rows;
   std::vector<ParallelResult> par_results;
   for (const std::size_t tc : {std::size_t{1}, std::size_t{2},
@@ -399,15 +407,15 @@ int run_sweep(const std::string& out_path, double min_scan_speedup,
     const ParallelResult p = bench_parallel(run, tc);
     par_results.push_back(p);
     std::printf("%8zu %12.3g %14.3g %10llu %10.1f %10.1f\n", p.threads,
-                events_per_s(n, p.scan_ms),
-                events_per_s(n, p.filtered_scan_ms),
+                events_per_s(n, p.bin_ms),
+                events_per_s(n, p.filtered_bin_ms),
                 static_cast<unsigned long long>(p.filtered_segments_skipped),
                 p.save_ms, p.open_ms);
     json::Object po;
     po["threads"] = static_cast<std::int64_t>(p.threads);
-    po["scan_ms"] = p.scan_ms;
-    po["scan_events_per_s"] = events_per_s(n, p.scan_ms);
-    po["filtered_scan_ms"] = p.filtered_scan_ms;
+    po["bin_ms"] = p.bin_ms;
+    po["bin_events_per_s"] = events_per_s(n, p.bin_ms);
+    po["filtered_bin_ms"] = p.filtered_bin_ms;
     po["filtered_matched"] = static_cast<std::int64_t>(p.matched);
     po["filtered_segments_skipped"] =
         static_cast<std::int64_t>(p.filtered_segments_skipped);
@@ -420,17 +428,17 @@ int run_sweep(const std::string& out_path, double min_scan_speedup,
   par::set_threads(ambient);
 
   // 8-thread speedup over the 1-thread row, for the CI perf bar. The
-  // filtered scan is too fast (pushdown skips nearly everything) to
-  // time stably, so the bar watches the full scan and the save.
+  // filtered bin is too fast (pushdown skips nearly everything) to
+  // time stably, so the bar watches the full-extent bin and the save.
   const ParallelResult& one = par_results.front();
   const ParallelResult& eight = par_results.back();
-  const double scan_speedup =
-      eight.scan_ms > 0 ? one.scan_ms / eight.scan_ms : 0.0;
+  const double bin_speedup =
+      eight.bin_ms > 0 ? one.bin_ms / eight.bin_ms : 0.0;
   const double save_speedup =
       eight.save_ms > 0 ? one.save_ms / eight.save_ms : 0.0;
-  std::printf("8-thread speedup: scan %.2fx, save %.2fx "
+  std::printf("8-thread speedup: bin_events %.2fx, save %.2fx "
               "(%u hardware thread(s))\n",
-              scan_speedup, save_speedup,
+              bin_speedup, save_speedup,
               std::thread::hardware_concurrency());
 
   json::Object root;
@@ -461,17 +469,18 @@ int run_sweep(const std::string& out_path, double min_scan_speedup,
   json::Object sp;
   sp["hardware_threads"] =
       static_cast<std::int64_t>(std::thread::hardware_concurrency());
-  sp["scan_8t"] = scan_speedup;
+  sp["bin_events_8t"] = bin_speedup;
   sp["save_8t"] = save_speedup;
   root["speedup_1m"] = std::move(sp);
   json::save_file(out_path, json::Value(std::move(root)));
   std::printf("wrote %s\n", out_path.c_str());
 
   int rc = 0;
-  if (min_scan_speedup > 0 && scan_speedup < min_scan_speedup) {
+  if (min_scan_speedup > 0 && bin_speedup < min_scan_speedup) {
     std::fprintf(stderr,
-                 "perf bar FAILED: 8-thread scan speedup %.2fx < %.2fx\n",
-                 scan_speedup, min_scan_speedup);
+                 "perf bar FAILED: 8-thread bin_events speedup %.2fx < "
+                 "%.2fx\n",
+                 bin_speedup, min_scan_speedup);
     rc = 1;
   }
   if (min_save_speedup > 0 && save_speedup < min_save_speedup) {

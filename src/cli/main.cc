@@ -80,10 +80,11 @@
 //   --sink <tcp://H:P>      stream every live checkpoint to a trace hub
 //                           (`diogenes serve`); a completed stream is
 //                           byte-identical to the saved run file
-//   --threads <N>           analysis/save/open thread count (default:
-//                           DIOG_THREADS, else hardware concurrency;
-//                           1 = fully serial). Output is byte-identical
-//                           at any thread count.
+//   --threads <N>           thread count for open (checksum, decode),
+//                           save (chunk encode), explorer binning and
+//                           stage-3 hashing (default: hardware
+//                           concurrency; 1 = fully serial). Output is
+//                           byte-identical at any thread count.
 #include <algorithm>
 #include <charconv>
 #include <chrono>

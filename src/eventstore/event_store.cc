@@ -1,11 +1,9 @@
 #include "eventstore/event_store.h"
 
 #include <algorithm>
-#include <array>
 #include <new>
 
 #include "obs/telemetry.h"
-#include "parallel/thread_pool.h"
 #include "support/error.h"
 #include "testkit/fault_plan.h"
 
@@ -507,54 +505,44 @@ void EventStore::BulkLoader::load_column_at(std::size_t c, std::uint64_t row,
 
 void EventStore::finish_bulk_load() {
   // Validate column agreement, then derive block/segment stats and
-  // per-kind counts. Each segment's pass is independent, so the rebuild
-  // fans out over the pool; per-kind totals are reduced in segment
-  // order afterwards (sums — order-invariant, kept ordered anyway).
+  // per-kind counts in one serial pass: the pass is memory-bound and
+  // costs a few ms per million rows, so fanning it out does not pay.
   const std::uint64_t n = size();
   DIOG_CHECK(kind_.size() == n && link_.size() == n && t_start_.size() == n,
              "column length mismatch after load");
-  const std::size_t segs =
-      static_cast<std::size_t>((n + kSegmentRows - 1) / kSegmentRows);
-  stats_.assign(segs, SegmentStats{});
+  stats_.assign(
+      static_cast<std::size_t>((n + kSegmentRows - 1) / kSegmentRows),
+      SegmentStats{});
   block_stats_.assign(
       static_cast<std::size_t>((n + kBlockRows - 1) / kBlockRows),
       SegmentStats{});
-  for (auto& c : per_kind_) c.store(0, std::memory_order_relaxed);
-  std::vector<std::array<std::uint64_t, kEventKindCount>> seg_kinds(
-      segs, std::array<std::uint64_t, kEventKindCount>{});
-  par::parallel_for(segs, [&](std::size_t s) {
-    SegmentStats& st = stats_[s];
-    const std::uint64_t lo = static_cast<std::uint64_t>(s) * kSegmentRows;
-    const std::uint64_t hi = std::min<std::uint64_t>(n, lo + kSegmentRows);
-    for (std::uint64_t i = lo; i < hi; ++i) {
-      const auto kind_raw = kind_.get(i);
-      DIOG_CHECK(kind_raw < kEventKindCount, "run file has bad event kind");
-      const std::uint32_t stack_id = stack_.get(i);
-      const std::uint32_t aux_id = aux_stack_.get(i);
-      DIOG_CHECK(stack_id < stacks_dict_.stack_count() &&
-                     aux_id < stacks_dict_.stack_count(),
-                 "run file references unknown stack");
-      DIOG_CHECK(name_.get(i) < names_.size(),
-                 "run file references unknown name");
-      SegmentStats& bst = block_stats_[i / kBlockRows];
-      const std::uint32_t flags = flags_.get(i);
-      const std::int64_t t = t_start_.get(i);
-      const std::uint16_t api = api_.get(i);
-      for (SegmentStats* dst : {&st, &bst}) {
-        dst->kinds_mask |= 1u << kind_raw;
-        dst->flags_or |= flags;
-        if (api < 64) dst->api_mask |= 1ull << api;
-        dst->min_t = std::min(dst->min_t, t);
-        dst->max_t = std::max(dst->max_t, t);
-      }
-      ++seg_kinds[s][kind_raw];
+  std::uint64_t kinds[kEventKindCount] = {};
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const auto kind_raw = kind_.get(i);
+    DIOG_CHECK(kind_raw < kEventKindCount, "run file has bad event kind");
+    const std::uint32_t stack_id = stack_.get(i);
+    const std::uint32_t aux_id = aux_stack_.get(i);
+    DIOG_CHECK(stack_id < stacks_dict_.stack_count() &&
+                   aux_id < stacks_dict_.stack_count(),
+               "run file references unknown stack");
+    DIOG_CHECK(name_.get(i) < names_.size(),
+               "run file references unknown name");
+    if (i % kSegmentRows == 0) note_segment_metrics();
+    const std::uint32_t flags = flags_.get(i);
+    const std::int64_t t = t_start_.get(i);
+    const std::uint16_t api = api_.get(i);
+    for (SegmentStats* dst :
+         {&stats_[i / kSegmentRows], &block_stats_[i / kBlockRows]}) {
+      dst->kinds_mask |= 1u << kind_raw;
+      dst->flags_or |= flags;
+      if (api < 64) dst->api_mask |= 1ull << api;
+      dst->min_t = std::min(dst->min_t, t);
+      dst->max_t = std::max(dst->max_t, t);
     }
-  });
-  for (std::size_t s = 0; s < segs; ++s) {
-    note_segment_metrics();
-    for (std::size_t k = 0; k < kEventKindCount; ++k) {
-      per_kind_[k].fetch_add(seg_kinds[s][k], std::memory_order_relaxed);
-    }
+    ++kinds[kind_raw];
+  }
+  for (std::size_t k = 0; k < kEventKindCount; ++k) {
+    per_kind_[k].store(kinds[k], std::memory_order_relaxed);
   }
 }
 

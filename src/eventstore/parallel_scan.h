@@ -21,30 +21,22 @@ struct ScanStats {
   std::uint64_t blocks_skipped = 0;
 };
 
-// Runs `shard_fn(cursor, shard_index)` once per shard, where `cursor`
-// is a copy of `proto` bounded to that shard's segment-aligned row
-// range. Returns one result per shard, in segment order. `proto` keeps
-// its predicates but any limit_rows on it is replaced per shard.
+// Runs `shard_fn(cursor, shard_index)` once per segment, where
+// `cursor` is a copy of `proto` bounded to that segment's row range.
+// Returns one result per shard, in segment order. `proto` keeps its
+// predicates but any limit_rows on it is replaced per shard.
 template <typename T, typename ShardFn>
 std::vector<T> scan_shards(const EventStore& store, const Cursor& proto,
-                           ShardFn&& shard_fn, ScanStats* stats = nullptr,
-                           std::size_t segments_per_shard = 1) {
+                           ShardFn&& shard_fn, ScanStats* stats = nullptr) {
   const std::uint64_t n = store.size();
-  if (segments_per_shard == 0) segments_per_shard = 1;
-  const std::uint64_t rows_per_shard =
-      static_cast<std::uint64_t>(segments_per_shard) * kSegmentRows;
-  const std::size_t shards =
-      n == 0 ? 0
-             : static_cast<std::size_t>((n + rows_per_shard - 1) /
-                                        rows_per_shard);
+  const auto shards =
+      static_cast<std::size_t>((n + kSegmentRows - 1) / kSegmentRows);
   std::vector<T> out(shards);
   std::vector<ScanStats> shard_stats(stats != nullptr ? shards : 0);
   par::parallel_for(shards, [&](std::size_t s) {
     Cursor c = proto;
-    c.limit_rows(static_cast<std::uint64_t>(s) * rows_per_shard,
-                 std::min<std::uint64_t>(
-                     n, (static_cast<std::uint64_t>(s) + 1) *
-                            rows_per_shard));
+    const std::uint64_t lo = static_cast<std::uint64_t>(s) * kSegmentRows;
+    c.limit_rows(lo, std::min<std::uint64_t>(n, lo + kSegmentRows));
     out[s] = shard_fn(c, s);
     if (stats != nullptr) {
       shard_stats[s] = {c.segments_skipped(), c.blocks_skipped()};
@@ -56,40 +48,6 @@ std::vector<T> scan_shards(const EventStore& store, const Cursor& proto,
       stats->blocks_skipped += st.blocks_skipped;
     }
   }
-  return out;
-}
-
-// Parallel Cursor::count(): total matching rows.
-inline std::uint64_t parallel_count(const EventStore& store,
-                                    const Cursor& proto,
-                                    ScanStats* stats = nullptr) {
-  std::uint64_t total = 0;
-  for (const std::uint64_t c : scan_shards<std::uint64_t>(
-           store, proto,
-           [](Cursor& cur, std::size_t) { return cur.count(); }, stats)) {
-    total += c;
-  }
-  return total;
-}
-
-// Parallel collect: matching events, in append order (per-shard vectors
-// concatenated in segment order).
-inline std::vector<Event> parallel_collect(const EventStore& store,
-                                           const Cursor& proto,
-                                           ScanStats* stats = nullptr) {
-  std::vector<std::vector<Event>> parts = scan_shards<std::vector<Event>>(
-      store, proto,
-      [](Cursor& cur, std::size_t) {
-        std::vector<Event> shard;
-        cur.for_each([&](const Event& e) { shard.push_back(e); });
-        return shard;
-      },
-      stats);
-  std::size_t total = 0;
-  for (const auto& p : parts) total += p.size();
-  std::vector<Event> out;
-  out.reserve(total);
-  for (auto& p : parts) out.insert(out.end(), p.begin(), p.end());
   return out;
 }
 

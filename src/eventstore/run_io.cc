@@ -492,7 +492,10 @@ TraceRun parse_run(const unsigned char* data, std::size_t size,
   // index rule, matching what a serial decode would throw first.
   EventStore& store = *parser.run.store;
   EventStore::BulkLoader loader{store};
-  loader.reserve(parser.resident_rows);
+  {
+    DIOG_SPAN("evstore.open.reserve");
+    loader.reserve(parser.resident_rows);
+  }
   {
     DIOG_SPAN("evstore.open.decode");
     par::parallel_for(pendings.size(), [&](std::size_t i) {
@@ -506,7 +509,10 @@ TraceRun parse_run(const unsigned char* data, std::size_t size,
       }
     });
   }
-  if (parser.resident_rows > 0) store.finish_bulk_load();
+  if (parser.resident_rows > 0) {
+    DIOG_SPAN("evstore.open.finish");
+    store.finish_bulk_load();
+  }
 
   if (info != nullptr) {
     info->clean = out.saw_footer;
@@ -635,9 +641,9 @@ void save_run(const std::string& path, const TraceRun& run,
                                    .names_from = 1,
                                    .names_to = store.name_count()};
 
-  // Open the file up front: the writer thread streams chunks into it
-  // while workers are still encoding later ones. Same fault sites as
-  // the live writer so the testkit drives both paths with one plan.
+  // Open the file up front so an unwritable path fails before any
+  // encoding. Same fault sites as the live writer so the testkit drives
+  // both paths with one plan.
   std::error_code ec;
   const std::filesystem::path parent =
       std::filesystem::path(path).parent_path();
@@ -663,47 +669,47 @@ void save_run(const std::string& path, const TraceRun& run,
   codec::put_u32(header, 0);  // reserved
   write_all(header.data(), header.size());
 
-  // Encode/checksum on the pool, write in order, overlapped: workers
-  // fill a bounded ring of reusable arenas (slot i % W) while the
-  // ordered writer drains it — encode of chunk N+k proceeds while
-  // chunk N's bytes hit the file. Chunk 0 carries the full
-  // dictionaries, later chunks only columns. The chunk layout and
-  // bytes stay a pure function of the store: the pipeline changes who
-  // encodes and when, never what.
-  const std::uint64_t window = std::min<std::uint64_t>(
-      chunks, std::max<std::uint64_t>(2, 2 * par::configured_threads()));
-  std::vector<codec::EncodeArena> slots(static_cast<std::size_t>(window));
+  // Encode a window of chunks on the pool into reusable arenas, then
+  // write that window in index order. Chunk 0 carries the full
+  // dictionaries, later chunks only columns. The chunk layout and bytes
+  // stay a pure function of the store: the pool changes who encodes,
+  // never what, and every write happens in chunk order on this thread.
+  const std::size_t window = static_cast<std::size_t>(
+      std::min<std::uint64_t>(chunks, 2 * par::configured_threads()));
+  std::vector<codec::EncodeArena> slots(window);
   std::uint64_t data_bytes = 0;
-  par::pipeline_ordered(
-      static_cast<std::size_t>(chunks), static_cast<std::size_t>(window),
-      [&](std::size_t i) {
-        DIOG_SPAN("evstore.save.encode");
-        const std::uint64_t rel_first =
-            static_cast<std::uint64_t>(i) * chunk_rows;
-        const std::uint64_t count =
-            std::min<std::uint64_t>(chunk_rows, n - rel_first);
-        codec::encode_chunk_blob(slots[i % slots.size()], store, meta_json,
-                                 i == 0 ? all_dicts : codec::DictRange{},
-                                 first_avail + rel_first, count, rel_first);
-      },
-      [&](std::size_t i) {
-        DIOG_SPAN("evstore.save.write");
-        const std::string& blob = slots[i % slots.size()].blob;
-        if (const testkit::FaultSpec* spec =
-                testkit::fault_at("live_writer.write.chunk")) {
-          if (spec->action == testkit::FaultAction::kShortWrite) {
-            const std::size_t keep = std::min(
-                blob.size(), static_cast<std::size_t>(
-                                 std::max<std::int64_t>(0, spec->magnitude)));
-            (void)std::fwrite(blob.data(), 1, keep, f);
-            (void)std::fflush(f);
-          }
-          throw Error("write failed for run file: " + path +
-                      " (injected fault)");
+  for (std::uint64_t base = 0; base < chunks; base += window) {
+    const auto batch = static_cast<std::size_t>(
+        std::min<std::uint64_t>(window, chunks - base));
+    par::parallel_for(batch, [&](std::size_t k) {
+      DIOG_SPAN("evstore.save.encode");
+      const std::uint64_t i = base + k;
+      const std::uint64_t rel_first = i * chunk_rows;
+      const std::uint64_t count =
+          std::min<std::uint64_t>(chunk_rows, n - rel_first);
+      codec::encode_chunk_blob(slots[k], store, meta_json,
+                               i == 0 ? all_dicts : codec::DictRange{},
+                               first_avail + rel_first, count, rel_first);
+    });
+    for (std::size_t k = 0; k < batch; ++k) {
+      DIOG_SPAN("evstore.save.write");
+      const std::string& blob = slots[k].blob;
+      if (const testkit::FaultSpec* spec =
+              testkit::fault_at("live_writer.write.chunk")) {
+        if (spec->action == testkit::FaultAction::kShortWrite) {
+          const std::size_t keep = std::min(
+              blob.size(), static_cast<std::size_t>(
+                               std::max<std::int64_t>(0, spec->magnitude)));
+          (void)std::fwrite(blob.data(), 1, keep, f);
+          (void)std::fflush(f);
         }
-        write_all(blob.data(), blob.size());
-        data_bytes += blob.size();
-      });
+        throw Error("write failed for run file: " + path +
+                    " (injected fault)");
+      }
+      write_all(blob.data(), blob.size());
+      data_bytes += blob.size();
+    }
+  }
 
   if (testkit::fault_at("live_writer.footer.before") != nullptr) {
     throw Error("checkpoint failed before footer rewrite: " + path +

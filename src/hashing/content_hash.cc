@@ -99,13 +99,12 @@ Digest hash64_blocked(std::span<const std::byte> data, std::uint64_t seed) {
   if (data.size() <= kHashBlockBytes) return hash64(data, seed);
   const std::size_t blocks =
       (data.size() + kHashBlockBytes - 1) / kHashBlockBytes;
-  const std::vector<Digest> digests = par::parallel_map<Digest>(
-      blocks, [&](std::size_t b) {
-        const std::size_t off = b * kHashBlockBytes;
-        return hash64(data.subspan(off,
-                                   std::min(kHashBlockBytes,
-                                            data.size() - off)));
-      });
+  std::vector<Digest> digests(blocks);
+  par::parallel_for(blocks, [&](std::size_t b) {
+    const std::size_t off = b * kHashBlockBytes;
+    digests[b] = hash64(
+        data.subspan(off, std::min(kHashBlockBytes, data.size() - off)));
+  });
   // Fold the ordered per-block digests; mixing the total length into
   // the seed keeps "N full blocks" and "N blocks + empty tail" apart.
   return hash64(std::as_bytes(std::span<const Digest>(digests)),

@@ -1,10 +1,10 @@
 #include "parallel/thread_pool.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <cstdlib>
 #include <deque>
 #include <limits>
 #include <memory>
@@ -21,18 +21,6 @@ constexpr std::size_t kMaxThreads = 1024;
 
 std::atomic<std::size_t> g_override{0};
 thread_local bool t_pool_worker = false;
-
-std::size_t env_threads() {
-  static const std::size_t cached = [] {
-    const char* e = std::getenv("DIOG_THREADS");
-    if (e == nullptr || *e == '\0') return std::size_t{0};
-    char* end = nullptr;
-    const unsigned long v = std::strtoul(e, &end, 10);
-    if (end == e || *end != '\0' || v == 0) return std::size_t{0};
-    return std::min<std::size_t>(v, kMaxThreads);
-  }();
-  return cached;
-}
 
 std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point t0) {
   return static_cast<std::uint64_t>(
@@ -222,7 +210,6 @@ std::size_t configured_threads() {
       o != 0) {
     return o;
   }
-  if (const std::size_t e = env_threads(); e != 0) return e;
   return hardware_threads();
 }
 
@@ -233,8 +220,6 @@ void set_threads(std::size_t n) {
 std::size_t threads_override() {
   return g_override.load(std::memory_order_relaxed);
 }
-
-bool on_pool_thread() { return t_pool_worker; }
 
 void parallel_for(std::size_t n,
                   const std::function<void(std::size_t)>& fn) {
@@ -247,108 +232,6 @@ void parallel_for(std::size_t n,
     return;
   }
   acquire_pool(threads)->run(n, fn);
-}
-
-void pipeline_ordered(std::size_t n, std::size_t window,
-                      const std::function<void(std::size_t)>& produce,
-                      const std::function<void(std::size_t)>& consume) {
-  if (n == 0) return;
-  const std::size_t threads = configured_threads();
-  if (threads <= 1 || n == 1 || t_pool_worker || window < 2) {
-    // Strict serial interleaving: this IS the pre-pipeline code path,
-    // and the order consumer-side faults fire in at any thread count.
-    for (std::size_t i = 0; i < n; ++i) {
-      produce(i);
-      consume(i);
-    }
-    return;
-  }
-
-  struct State {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::vector<std::uint8_t> ready;
-    std::size_t consumed = 0;
-    bool abort = false;
-    std::exception_ptr consumer_exc;
-  } st;
-  st.ready.assign(n, 0);
-
-  std::thread consumer([&] {
-    for (std::size_t i = 0; i < n; ++i) {
-      {
-        std::unique_lock<std::mutex> lock(st.mu);
-        st.cv.wait(lock, [&] { return st.ready[i] != 0 || st.abort; });
-        if (st.abort) return;
-      }
-      try {
-        consume(i);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(st.mu);
-        st.consumer_exc = std::current_exception();
-        st.abort = true;
-        st.cv.notify_all();
-        return;
-      }
-      {
-        std::lock_guard<std::mutex> lock(st.mu);
-        ++st.consumed;
-        st.cv.notify_all();
-      }
-    }
-  });
-
-  try {
-    parallel_for(n, [&](std::size_t i) {
-      {
-        std::unique_lock<std::mutex> lock(st.mu);
-        // Claimed indices only grow, so the indices inside the window
-        // are always already claimed by other workers (or this one):
-        // a blocked producer can never starve the window open.
-        st.cv.wait(lock,
-                   [&] { return st.abort || i < st.consumed + window; });
-        if (st.abort) return;
-      }
-      try {
-        produce(i);
-      } catch (...) {
-        {
-          std::lock_guard<std::mutex> lock(st.mu);
-          st.abort = true;
-        }
-        st.cv.notify_all();
-        throw;  // parallel_for keeps the lowest-index exception
-      }
-      {
-        std::lock_guard<std::mutex> lock(st.mu);
-        st.ready[i] = 1;
-        st.cv.notify_all();
-      }
-    });
-  } catch (...) {
-    {
-      std::lock_guard<std::mutex> lock(st.mu);
-      st.abort = true;
-    }
-    st.cv.notify_all();
-    consumer.join();
-    throw;  // a producer failure wins: it is what starved the consumer
-  }
-  consumer.join();
-  if (st.consumer_exc) std::rethrow_exception(st.consumer_exc);
-}
-
-void parallel_chunks(
-    std::size_t total, std::size_t grain,
-    const std::function<void(std::size_t, std::size_t)>& fn) {
-  if (total == 0) return;
-  if (grain == 0) grain = 1;
-  const std::size_t chunks = (total + grain - 1) / grain;
-  parallel_for(chunks, [&](std::size_t c) {
-    const std::size_t begin = c * grain;
-    const std::size_t end = std::min(total, begin + grain);
-    fn(begin, end);
-  });
 }
 
 }  // namespace diog::par

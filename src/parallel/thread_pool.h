@@ -12,8 +12,7 @@
 // serial path would raise.
 //
 // Thread count resolution: set_threads() (the --threads flag) wins,
-// then the DIOG_THREADS environment variable, then
-// hardware_concurrency. A count of 1 bypasses the pool entirely —
+// then hardware_concurrency. A count of 1 bypasses the pool entirely —
 // parallel_for degenerates to a plain serial loop, which IS the
 // pre-parallel code path. Nested parallel_for calls (a task that itself
 // fans out) also run inline on the worker, so composition can never
@@ -22,66 +21,26 @@
 
 #include <cstddef>
 #include <functional>
-#include <vector>
 
 namespace diog::par {
 
 // max(1, std::thread::hardware_concurrency()).
 std::size_t hardware_threads();
 
-// Effective thread count: override > DIOG_THREADS > hardware.
+// Effective thread count: the override if set, else hardware.
 std::size_t configured_threads();
 
-// Programmatic override (the --threads flag). 0 restores automatic
-// selection. Takes effect on the next parallel_for; the shared pool is
+// Programmatic override (the --threads flag). 0 restores hardware
+// concurrency. Takes effect on the next parallel_for; the shared pool is
 // rebuilt lazily when the size changes.
 void set_threads(std::size_t n);
 [[nodiscard]] std::size_t threads_override();
-
-// True on a pool worker thread (used to run nested fan-outs inline).
-bool on_pool_thread();
 
 // Runs fn(i) for every i in [0, n), distributing indices over the
 // configured threads; blocks until all complete. Serial (and identical
 // to a plain loop) when the configured count is 1, n < 2, or the caller
 // is itself a pool worker.
 void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
-
-// Ordered map: out[i] = fn(i), placed by index regardless of which
-// thread computed it. The returned vector is the ordered reduction.
-template <typename T, typename Fn>
-std::vector<T> parallel_map(std::size_t n, Fn&& fn) {
-  std::vector<T> out(n);
-  parallel_for(n, [&](std::size_t i) { out[i] = fn(i); });
-  return out;
-}
-
-// Splits [0, total) into runs of at most `grain` and applies
-// fn(begin, end) to each in parallel (ordered by construction: run k
-// covers [k*grain, min(total, (k+1)*grain))).
-void parallel_chunks(
-    std::size_t total, std::size_t grain,
-    const std::function<void(std::size_t, std::size_t)>& fn);
-
-// Ordered producer/consumer pipeline over items 0..n-1. produce(i) runs
-// on the pool (any order, bounded lookahead); consume(i) runs strictly
-// in index order on a dedicated consumer thread, overlapped with
-// production — the run-file saver encodes chunk N+k while the writer
-// flushes chunk N. The window caps how far production may run ahead of
-// consumption: produce(i) starts only once consume(i - window) has
-// finished, so a caller owning `window` reusable slots can hand
-// produce(i) slot i % window without reuse races.
-//
-// Contract mirrors parallel_for: with 1 configured thread (or on a pool
-// worker, or window < 2) it degenerates to the strict serial
-// interleaving produce(0) consume(0) produce(1) consume(1)..., which is
-// also the order every consumer-side fault fires in, so error selection
-// is thread-count-deterministic. A consumer exception aborts remaining
-// producers and is rethrown; a producer exception follows the
-// lowest-index rule and wins over a consumer failure it caused.
-void pipeline_ordered(std::size_t n, std::size_t window,
-                      const std::function<void(std::size_t)>& produce,
-                      const std::function<void(std::size_t)>& consume);
 
 // Worker-local reusable state: one instance per OS thread (pool workers
 // and callers alike), default-constructed on first use and reused

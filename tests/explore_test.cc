@@ -230,20 +230,37 @@ TEST_F(ExploreTest, MalformedAndNonGetRequestsOverTheSocket) {
 
 // --- LoD binning ------------------------------------------------------------
 
+// Phase-ordered kinds over more than three segments, the shape the
+// real pipeline produces: ops fill the first segment and spill into the
+// second, so two shards merge into the bins that straddle the segment
+// boundary, and the later sync/internal phases give the kind filter
+// whole segments to skip. Durations cycle through 0..6, so both shards
+// of the straddling bin hold a heaviest event of the same duration and
+// the merge must keep the first in append order.
 TEST_F(ExploreTest, BinEventsIsIdenticalAtEveryThreadCount) {
-  const evstore::TraceRun run =
-      testkit::make_synthetic_run({.events = 50'000});
-  const evstore::EventStore& store = *run.store;
+  constexpr std::uint64_t kPerPhase = evstore::kSegmentRows + 1'000;
+  evstore::EventStore store;
+  evstore::Event e;
+  e.kind = evstore::EventKind::kOp;
+  for (std::uint64_t i = 0; i < kPerPhase; ++i) {
+    e.op_index = i;
+    e.t_start = static_cast<std::int64_t>(i * 10);
+    e.t_end = e.t_start + static_cast<std::int64_t>(i % 7);
+    store.append(e);
+  }
+  for (const evstore::EventKind k :
+       {evstore::EventKind::kSyncUse, evstore::EventKind::kInternalSpan}) {
+    e = evstore::Event{};
+    e.kind = k;
+    for (std::uint64_t i = 0; i < kPerPhase; ++i) store.append(e);
+  }
+  ASSERT_GE(store.segment_count(), 3u);
+  const std::int64_t t1 = static_cast<std::int64_t>(kPerPhase * 10);
 
-  auto snapshot = [&store] {
-    evstore::Cursor proto(store);
-    proto.kind(evstore::EventKind::kOp);
-    const evstore::BinnedSpans b =
-        evstore::bin_events(store, proto, 0, 50'000'000, 777);
-    std::string s = std::to_string(b.matched) + "|" +
-                    std::to_string(b.bin_width) + "|" +
-                    std::to_string(b.bins);
-    for (const evstore::TimeBin& bin : b.data) {
+  constexpr std::uint32_t kBins = 777;
+  auto render = [](const std::vector<evstore::TimeBin>& bins) {
+    std::string s;
+    for (const evstore::TimeBin& bin : bins) {
       s += ";" + std::to_string(bin.count) + "," +
            std::to_string(bin.busy_ns) + "," +
            std::to_string(bin.rep.t_start) + "," +
@@ -253,13 +270,42 @@ TEST_F(ExploreTest, BinEventsIsIdenticalAtEveryThreadCount) {
     return s;
   };
 
-  par::set_threads(1);
-  const std::string ref = snapshot();
-  for (const std::size_t tc : {2, 8}) {
+  // The serial reference: one cursor over the whole store, folded in
+  // append order (heaviest representative, first among equals).
+  const std::int64_t width = (t1 + kBins - 1) / kBins;
+  std::vector<evstore::TimeBin> serial_bins(kBins);
+  evstore::Cursor serial(store);
+  serial.kind(evstore::EventKind::kOp);
+  serial.for_each([&](const evstore::Event& ev) {
+    evstore::TimeBin& bin = serial_bins[std::min<std::int64_t>(
+        ev.t_start / width, kBins - 1)];
+    ++bin.count;
+    bin.busy_ns += ev.t_end - ev.t_start;
+    if (bin.count == 1 ||
+        ev.t_end - ev.t_start > bin.rep.t_end - bin.rep.t_start) {
+      bin.rep = ev;
+    }
+  });
+  const std::string expected = render(serial_bins);
+
+  std::uint64_t blocks_skipped_at_1 = 0;
+  for (const std::size_t tc : {1, 2, 8}) {
     par::set_threads(tc);
-    EXPECT_EQ(snapshot(), ref) << "threads=" << tc;
+    evstore::Cursor proto(store);
+    proto.kind(evstore::EventKind::kOp);
+    const evstore::BinnedSpans b =
+        evstore::bin_events(store, proto, 0, t1, kBins);
+    EXPECT_EQ(b.matched, kPerPhase) << "threads=" << tc;
+    EXPECT_EQ(b.bin_width, width) << "threads=" << tc;
+    EXPECT_EQ(render(b.data), expected) << "threads=" << tc;
+    // Pushdown skips whole sync/internal segments and the non-op blocks
+    // of the mixed segment, the same count at every thread count.
+    EXPECT_EQ(b.stats.segments_skipped, 2u) << "threads=" << tc;
+    EXPECT_GE(b.stats.blocks_skipped, 1u) << "threads=" << tc;
+    if (tc == 1) blocks_skipped_at_1 = b.stats.blocks_skipped;
+    EXPECT_EQ(b.stats.blocks_skipped, blocks_skipped_at_1)
+        << "threads=" << tc;
   }
-  EXPECT_NE(ref.find(";"), std::string::npos);
 }
 
 TEST_F(ExploreTest, BinEventsClampsAndHandlesEmptyRanges) {

@@ -702,25 +702,38 @@ TEST_F(HubTest, TornSinkLeavesACheckpointedPrefixOnTheServer) {
     sink.checkpoint(run, /*force=*/true);
     // Destroyed without finish(): the crash contract on the wire.
   }
-  // The server notices the torn stream when the connection drops.
-  for (int i = 0; i < 500 && hub_counter("hub.torn") == torn_before; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  ASSERT_GT(hub_counter("hub.torn"), torn_before);
-
   // The spool survives as a readable checkpointed prefix: all 1500
-  // events from the forced checkpoint, no footer.
+  // events from the forced checkpoint, no footer. The server writes it
+  // as the chunk arrives, so wait until the whole prefix reads back.
   std::vector<std::string> spools;
-  for (const auto& entry :
-       fs::directory_iterator(dir_ + "/archive/spool")) {
-    spools.push_back(entry.path().string());
+  evstore::RunFileInfo info;
+  std::uint64_t events = 0;
+  for (int i = 0; i < 500 && events < 1500; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    spools.clear();
+    for (const auto& entry :
+         fs::directory_iterator(dir_ + "/archive/spool")) {
+      spools.push_back(entry.path().string());
+    }
+    if (spools.size() != 1) continue;
+    try {
+      events = evstore::open_run(spools[0], evstore::ReadMode::kAuto, &info)
+                   .store->size();
+    } catch (const Error&) {
+      // Header not on disk yet.
+    }
   }
   ASSERT_EQ(spools.size(), 1u);
-  evstore::RunFileInfo info;
-  const evstore::TraceRun prefix =
-      evstore::open_run(spools[0], evstore::ReadMode::kAuto, &info);
   EXPECT_FALSE(info.finalized);
-  EXPECT_EQ(prefix.store->size(), 1500u);
+  EXPECT_EQ(events, 1500u);
+
+  // The server counts the torn stream when the connection drops.
+  if (obs::kCompiledIn) {
+    for (int i = 0; i < 500 && hub_counter("hub.torn") == torn_before; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    EXPECT_GT(hub_counter("hub.torn"), torn_before);
+  }
 }
 
 TEST_F(HubTest, FlightRecorderStreamsThroughTheRegisteredSinkFactory) {
@@ -988,18 +1001,25 @@ TEST_F(HubTest, ConcurrentWritersAllLandByteIdenticalAndCountersReconcile) {
     }
   }
 
+  // The index holds each writer's run exactly once, with its events.
   archive::ArchiveOptions aopts;
   aopts.root = dir_ + "/archive";
   const archive::Archive ar(std::move(aopts));
   EXPECT_EQ(ar.index().size(), static_cast<std::size_t>(kWriters));
+  std::uint64_t indexed_events = 0;
+  for (const auto& entry : ar.index()) indexed_events += entry.events;
+  EXPECT_EQ(indexed_events, expected_events);
 
   // Per-session accounting reconciles exactly: both waves validated
   // every chunk, so the counters advance by exactly two sweeps.
-  EXPECT_EQ(hub_counter("hub.ingested") - ingested_before,
-            2u * kWriters);
-  EXPECT_EQ(hub_counter("hub.dedup") - dedup_before,
-            static_cast<std::uint64_t>(kWriters));
-  EXPECT_EQ(hub_counter("hub.events") - events_before, 2 * expected_events);
+  if (obs::kCompiledIn) {
+    EXPECT_EQ(hub_counter("hub.ingested") - ingested_before,
+              2u * kWriters);
+    EXPECT_EQ(hub_counter("hub.dedup") - dedup_before,
+              static_cast<std::uint64_t>(kWriters));
+    EXPECT_EQ(hub_counter("hub.events") - events_before,
+              2 * expected_events);
+  }
   // No session left behind: the gauge drains to its pre-test level and
   // every spool was consumed by ingestion.
   std::size_t spools = 0;

@@ -17,10 +17,12 @@
 
 #include "apps/apps.h"
 #include "core/diogenes.h"
+#include "core/report.h"
 #include "core/stage1_baseline.h"
 #include "core/stage2_tracing.h"
 #include "core/stage3_memhash.h"
 #include "core/stage4_syncuse.h"
+#include "eventstore/run_io.h"
 #include "gpusim/api.h"
 #include "gpusim/host_buffer.h"
 #include "obs/heartbeat.h"
@@ -432,6 +434,47 @@ TEST(ObsTelemetry, AnalysisRecordsOneSpanPerStage5Phase) {
                           "stage5.single_point", "stage5.folds",
                           "stage5.sequences"}));
   t.reset();
+}
+
+TEST(ObsTelemetry, OpenNamesItsReserveAndFinishPhases) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "diog_obs_open.dgtrace")
+          .string();
+  const evstore::TraceRun run =
+      testkit::make_synthetic_run(testkit::SynthRunOptions{.events = 5000});
+  evstore::save_run(path, run, evstore::SaveOptions{.footer_wall_ms = 0});
+  auto& t = Telemetry::global();
+  t.reset();
+  t.set_enabled(true);
+  const evstore::TraceRun back = evstore::open_run(path);
+  std::filesystem::remove(path);
+
+  // Phase timings are host facts, never part of the analysis document.
+  const std::string exported =
+      ffm::export_json(ffm::run_analysis(back, ffm::ToolConfig{})).dump();
+  EXPECT_EQ(exported.find("evstore.open"), std::string::npos);
+
+  const auto recs = t.spans().snapshot();
+  t.reset();
+  if (!kCompiledIn) {
+    EXPECT_TRUE(recs.empty());
+    return;
+  }
+  std::int64_t open = -1;
+  for (std::size_t i = 0; i < recs.size(); ++i) {
+    if (recs[i].name == "evstore.open") open = static_cast<std::int64_t>(i);
+  }
+  ASSERT_GE(open, 0);
+  // Every phase of open is a child span, so none of its time goes
+  // unnamed.
+  std::vector<std::string> children;
+  for (const SpanRecord& s : recs) {
+    if (s.parent == open) children.push_back(s.name);
+  }
+  EXPECT_EQ(children, (std::vector<std::string>{
+                          "evstore.open.checksum", "evstore.open.dicts",
+                          "evstore.open.reserve", "evstore.open.decode",
+                          "evstore.open.finish"}));
 }
 
 TEST(ObsTelemetry, AnalysisGaugesGraphSizeAndFootprint) {

@@ -1,10 +1,10 @@
-// The parallel subsystem (src/parallel/) and its three consumers:
-// segment-parallel scans, the parallel one-shot save/open paths, and
-// the stage-5 fan-out — plus the contract everything hangs on: output
-// is byte-identical at any thread count. Also covers the satellite
-// work: predicate-pushdown segment/block skipping, the FrameTable
-// shared-lock fast path, blockwise content hashing, and fault
-// injection surfacing cleanly from worker threads.
+// The parallel subsystem (src/parallel/) and its consumers: the
+// parallel one-shot save/open paths and blockwise content hashing —
+// plus the contract everything hangs on: output is byte-identical at
+// any thread count. Also covers predicate-pushdown segment/block
+// skipping, the FrameTable shared-lock fast path, and fault injection
+// surfacing cleanly from worker threads. The segment-parallel scan is
+// covered through bin_events in explore_test.cc.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -22,7 +22,6 @@
 #include "core/report.h"
 #include "eventstore/cursor.h"
 #include "eventstore/event_store.h"
-#include "eventstore/parallel_scan.h"
 #include "eventstore/run_io.h"
 #include "hashing/content_hash.h"
 #include "parallel/thread_pool.h"
@@ -86,29 +85,6 @@ TEST_F(ParallelTest, ParallelForCoversEveryIndexExactlyOnce) {
   }
 }
 
-TEST_F(ParallelTest, ParallelMapPlacesResultsByIndex) {
-  par::set_threads(8);
-  const std::vector<std::size_t> out =
-      par::parallel_map<std::size_t>(5'000, [](std::size_t i) {
-        return i * i;
-      });
-  ASSERT_EQ(out.size(), 5'000u);
-  for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], i * i);
-}
-
-TEST_F(ParallelTest, ParallelChunksCoverTheRangeInOrder) {
-  par::set_threads(4);
-  std::vector<std::atomic<int>> hits(1000);
-  par::parallel_chunks(1000, 64, [&](std::size_t begin, std::size_t end) {
-    EXPECT_EQ(begin % 64, 0u);
-    EXPECT_LE(end - begin, 64u);
-    for (std::size_t i = begin; i < end; ++i) {
-      hits[i].fetch_add(1, std::memory_order_relaxed);
-    }
-  });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
 TEST_F(ParallelTest, LowestIndexExceptionWinsAtAnyThreadCount) {
   for (const std::size_t tc : {std::size_t{1}, std::size_t{2},
                                std::size_t{8}}) {
@@ -124,88 +100,6 @@ TEST_F(ParallelTest, LowestIndexExceptionWinsAtAnyThreadCount) {
       // Deterministic error selection: always the lowest failing index,
       // never whichever thread happened to throw first.
       EXPECT_STREQ(e.what(), "task 17 failed") << "threads " << tc;
-    }
-  }
-}
-
-TEST_F(ParallelTest, PipelineOrderedConsumesStrictlyInOrder) {
-  for (const std::size_t tc : {std::size_t{1}, std::size_t{2},
-                               std::size_t{8}}) {
-    par::set_threads(tc);
-    constexpr std::size_t kN = 200;
-    std::vector<int> produced(kN, 0);
-    std::vector<std::size_t> consumed;
-    par::pipeline_ordered(
-        kN, /*window=*/4,
-        [&](std::size_t i) { produced[i] = static_cast<int>(i) + 1; },
-        [&](std::size_t i) {
-          // Single consumer thread: no lock needed, and produce(i) must
-          // have happened-before.
-          EXPECT_EQ(produced[i], static_cast<int>(i) + 1);
-          consumed.push_back(i);
-        });
-    ASSERT_EQ(consumed.size(), kN) << "threads " << tc;
-    for (std::size_t i = 0; i < kN; ++i) {
-      EXPECT_EQ(consumed[i], i) << "threads " << tc;
-    }
-  }
-}
-
-TEST_F(ParallelTest, PipelineOrderedWindowBoundsProducerLookahead) {
-  par::set_threads(8);
-  constexpr std::size_t kWindow = 3;
-  std::atomic<std::size_t> consumed{0};
-  std::atomic<bool> violated{false};
-  par::pipeline_ordered(
-      100, kWindow,
-      [&](std::size_t i) {
-        // produce(i) may start only after consume(i - window) finished,
-        // so a slot ring of `window` arenas is reuse-race-free.
-        if (i >= kWindow && consumed.load() < i - kWindow + 1) {
-          violated = true;
-        }
-      },
-      [&](std::size_t i) { consumed.store(i + 1); });
-  EXPECT_FALSE(violated.load());
-  EXPECT_EQ(consumed.load(), 100u);
-}
-
-TEST_F(ParallelTest, PipelineOrderedProducerExceptionWinsDeterministically) {
-  for (const std::size_t tc : {std::size_t{1}, std::size_t{2},
-                               std::size_t{8}}) {
-    par::set_threads(tc);
-    std::atomic<std::size_t> consumed{0};
-    try {
-      par::pipeline_ordered(
-          50, 4,
-          [](std::size_t i) {
-            if (i == 7 || i == 30) {
-              throw Error("produce " + std::to_string(i) + " failed");
-            }
-          },
-          [&](std::size_t) {
-            consumed.fetch_add(1, std::memory_order_relaxed);
-          });
-      FAIL() << "expected an Error at threads " << tc;
-    } catch (const Error& e) {
-      EXPECT_STREQ(e.what(), "produce 7 failed") << "threads " << tc;
-    }
-    EXPECT_LT(consumed.load(), 50u);
-  }
-}
-
-TEST_F(ParallelTest, PipelineOrderedConsumerExceptionAbortsAndRethrows) {
-  for (const std::size_t tc : {std::size_t{1}, std::size_t{8}}) {
-    par::set_threads(tc);
-    try {
-      par::pipeline_ordered(
-          50, 4, [](std::size_t) {},
-          [](std::size_t i) {
-            if (i == 5) throw Error("consume 5 failed");
-          });
-      FAIL() << "expected an Error at threads " << tc;
-    } catch (const Error& e) {
-      EXPECT_STREQ(e.what(), "consume 5 failed") << "threads " << tc;
     }
   }
 }
@@ -227,12 +121,12 @@ TEST_F(ParallelTest, ThreadCountResolutionPrefersOverride) {
   par::set_threads(3);
   EXPECT_EQ(par::configured_threads(), 3u);
   par::set_threads(0);
-  EXPECT_GE(par::configured_threads(), 1u);
+  EXPECT_EQ(par::configured_threads(), par::hardware_threads());
   EXPECT_EQ(par::hardware_threads(),
             std::max<std::size_t>(1, std::thread::hardware_concurrency()));
 }
 
-// --- Segment-parallel scans --------------------------------------------------
+// --- Predicate pushdown -----------------------------------------------------
 
 // Multi-segment store with PHASE-ORDERED kinds, the shape the real
 // pipeline produces (each collection stage appends its own event kinds
@@ -252,50 +146,6 @@ void fill_phased(evstore::EventStore& store, std::uint64_t per_phase) {
   e = evstore::Event{};
   e.kind = evstore::EventKind::kInternalSpan;
   for (std::uint64_t i = 0; i < per_phase; ++i) store.append(e);
-}
-
-TEST_F(ParallelTest, ParallelScanMatchesSerialAtEveryThreadCount) {
-  evstore::EventStore store;
-  fill_phased(store, evstore::kSegmentRows / 2 + 1'000);  // ~3 segments
-
-  evstore::Cursor serial(store);
-  serial.kind(evstore::EventKind::kSyncUse);
-  const std::uint64_t expected = serial.count();
-  ASSERT_GT(expected, 0u);
-
-  for (const std::size_t tc : {std::size_t{1}, std::size_t{2},
-                               std::size_t{8}}) {
-    par::set_threads(tc);
-    evstore::Cursor proto(store);
-    proto.kind(evstore::EventKind::kSyncUse);
-    evstore::ScanStats stats;
-    EXPECT_EQ(evstore::parallel_count(store, proto, &stats), expected)
-        << "threads " << tc;
-  }
-}
-
-TEST_F(ParallelTest, ParallelCollectPreservesAppendOrder) {
-  evstore::EventStore store;
-  fill_phased(store, evstore::kSegmentRows / 2 + 500);
-
-  evstore::Cursor proto(store);
-  proto.kind(evstore::EventKind::kOp);
-  std::vector<evstore::Event> serial_events;
-  {
-    evstore::Cursor c = proto;
-    c.for_each([&](const evstore::Event& e) { serial_events.push_back(e); });
-  }
-
-  for (const std::size_t tc : {std::size_t{2}, std::size_t{8}}) {
-    par::set_threads(tc);
-    const std::vector<evstore::Event> par_events =
-        evstore::parallel_collect(store, proto);
-    ASSERT_EQ(par_events.size(), serial_events.size()) << "threads " << tc;
-    for (std::size_t i = 0; i < par_events.size(); ++i) {
-      ASSERT_EQ(par_events[i].t_start, serial_events[i].t_start)
-          << "row " << i << " at threads " << tc;
-    }
-  }
 }
 
 // ISSUE satellite: a single-kind filter over a mixed-kind multi-segment
@@ -327,18 +177,6 @@ TEST_F(ParallelTest, KindFilterSkipsBlocksInsideOneSegment) {
   EXPECT_EQ(c.segments_skipped(), 0u);  // single segment, can't skip
   EXPECT_GE(c.blocks_skipped(), 1u)
       << "block-stats pushdown rejected nothing inside the segment";
-}
-
-TEST_F(ParallelTest, ScanStatsAggregateAcrossShards) {
-  evstore::EventStore store;
-  fill_phased(store, evstore::kSegmentRows + 100);
-
-  par::set_threads(4);
-  evstore::Cursor proto(store);
-  proto.kind(evstore::EventKind::kInternalSpan);
-  evstore::ScanStats stats;
-  (void)evstore::parallel_count(store, proto, &stats);
-  EXPECT_GE(stats.segments_skipped + stats.blocks_skipped, 1u);
 }
 
 // --- Save / open determinism (ISSUE satellite 3) -----------------------------
