@@ -1,6 +1,5 @@
 #include "archive/archive.h"
 
-#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -12,6 +11,7 @@
 #include "eventstore/run_io.h"
 #include "hashing/content_hash.h"
 #include "json/json.h"
+#include "support/clock.h"
 #include "support/error.h"
 
 namespace diog::archive {
@@ -52,12 +52,6 @@ void write_atomic(const fs::path& dest, std::span<const std::byte> bytes) {
     fs::remove(tmp, ec);
     throw Error("archive: rename to " + dest.string() + " failed");
   }
-}
-
-std::int64_t now_wall_ms() {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::system_clock::now().time_since_epoch())
-      .count();
 }
 
 }  // namespace
@@ -116,7 +110,7 @@ Archive::AddResult Archive::add(const std::string& run_file) {
   res.digest.run_id = id;
   res.digest.file_bytes = bytes.size();
   res.digest.ingest_wall_ms =
-      opts_.ingest_wall_ms >= 0 ? opts_.ingest_wall_ms : now_wall_ms();
+      opts_.ingest_wall_ms >= 0 ? opts_.ingest_wall_ms : wall_clock_ms();
 
   fs::create_directories(fs::path(opts_.root) / "objects");
   if (!fs::exists(res.object_path)) {

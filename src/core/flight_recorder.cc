@@ -1,5 +1,6 @@
 #include "core/flight_recorder.h"
 
+#include "eventstore/live_writer.h"
 #include "eventstore/run_io.h"
 #include "obs/telemetry.h"
 
@@ -12,20 +13,19 @@ FlightRecorder::FlightRecorder(evstore::TraceRun& run, const ToolConfig& cfg,
       last_ckpt_(std::chrono::steady_clock::now()),
       hb_last_(std::chrono::steady_clock::now()) {
   seen_request_seq_ = obs::checkpoint_request_seq();
+  // First checkpoint immediately: followers get a valid (if empty)
+  // file before the first segment seals, and the streamed chunk layout
+  // tracks the live file's chunk for chunk.
   if (!cfg.trace_dir.empty()) {
-    writer_ = std::make_unique<evstore::LiveRunWriter>(
-        evstore::run_file_path(cfg.trace_dir, workload));
-    // First checkpoint immediately: followers get a valid (if empty)
-    // file before the first segment seals.
-    writer_->checkpoint(run_, /*force=*/true);
+    sinks_.push_back(std::make_unique<evstore::LiveRunWriter>(
+        evstore::run_file_path(cfg.trace_dir, workload)));
+    sinks_.back()->checkpoint(run_, /*force=*/true);
   }
   if (!cfg.sink.empty()) {
     // A bad URL or an unreachable hub throws here, before any events
     // are collected — failing to stream is an error, not a silent drop.
-    sink_ = evstore::make_sink(cfg.sink, workload);
-    // Same first-checkpoint discipline as the file writer, so the
-    // streamed chunk layout tracks the live file's chunk for chunk.
-    sink_->checkpoint(run_, /*force=*/true);
+    sinks_.push_back(evstore::make_sink(cfg.sink, workload));
+    sinks_.back()->checkpoint(run_, /*force=*/true);
   }
   const std::string hb_dir =
       cfg.trace_dir.empty() ? std::string(".") : cfg.trace_dir;
@@ -40,7 +40,7 @@ FlightRecorder::FlightRecorder(evstore::TraceRun& run, const ToolConfig& cfg,
 FlightRecorder::~FlightRecorder() {
   run_.store->set_segment_seal_callback(nullptr);
   if (heartbeat_) heartbeat_->stop();
-  // writer_ closes without finalizing: an error-path exit leaves the
+  // The sinks close without finalizing: an error-path exit leaves the
   // same readable prefix a crash would.
 }
 
@@ -56,8 +56,7 @@ void FlightRecorder::tick() {
 }
 
 void FlightRecorder::checkpoint(bool forced) {
-  if (writer_) writer_->checkpoint(run_, forced);
-  if (sink_) sink_->checkpoint(run_, forced);
+  for (const auto& sink : sinks_) sink->checkpoint(run_, forced);
   // A SIGUSR1-forced checkpoint also wants an immediate heartbeat, so
   // "signal, then read the last line" is a complete snapshot recipe.
   if (forced && heartbeat_) heartbeat_->emit_now();
@@ -79,8 +78,7 @@ void FlightRecorder::finish() {
   if (finished_) return;
   finished_ = true;
   run_.store->set_segment_seal_callback(nullptr);
-  if (writer_) writer_->finish(run_);
-  if (sink_) sink_->finish(run_);
+  for (const auto& sink : sinks_) sink->finish(run_);
   if (heartbeat_) heartbeat_->stop();
 }
 

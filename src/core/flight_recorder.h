@@ -2,11 +2,11 @@
 //
 // Ties the three live-monitoring pieces to the pipeline: (1) the event
 // store's ring retention (configured by the driver, observed here only
-// through drop counters), (2) a LiveRunWriter that checkpoints the
-// in-progress run file so a crash or SIGKILL leaves a readable prefix,
-// and (3) a HeartbeatReporter streaming one JSON line per interval with
-// event rates, drop counts, the current stage, and the overhead
-// summary.
+// through drop counters), (2) checkpoint sinks — a LiveRunWriter that
+// checkpoints the in-progress run file so a crash or SIGKILL leaves a
+// readable prefix, and/or a --sink stream — and (3) a HeartbeatReporter
+// streaming one JSON line per interval with event rates, drop counts,
+// the current stage, and the overhead summary.
 //
 // Threading contract: tick(), on_stage_*, and finish() run on the
 // appending (pipeline) thread — checkpoints read column data, which is
@@ -21,9 +21,9 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/tool_config.h"
-#include "eventstore/live_writer.h"
 #include "eventstore/run.h"
 #include "eventstore/sink.h"
 #include "json/json.h"
@@ -57,20 +57,13 @@ class FlightRecorder {
   // Final checkpoint, finalized footer, and a last heartbeat.
   void finish();
 
-  [[nodiscard]] const evstore::LiveRunWriter* writer() const {
-    return writer_.get();
-  }
-  [[nodiscard]] const evstore::CheckpointSink* sink() const {
-    return sink_.get();
-  }
-
  private:
   json::Object heartbeat_body();
   void checkpoint(bool forced);
 
   evstore::TraceRun& run_;
-  std::unique_ptr<evstore::LiveRunWriter> writer_;
-  std::unique_ptr<evstore::CheckpointSink> sink_;
+  // The live run file (a LiveRunWriter) and/or the --sink stream.
+  std::vector<std::unique_ptr<evstore::CheckpointSink>> sinks_;
   std::unique_ptr<obs::HeartbeatReporter> heartbeat_;
   std::chrono::milliseconds ckpt_interval_;
   std::chrono::steady_clock::time_point last_ckpt_;

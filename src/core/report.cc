@@ -1,12 +1,12 @@
 #include "core/report.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 
 #include "core/run_convert.h"
 #include "eventstore/cursor.h"
 #include "eventstore/run_format.h"
+#include "support/clock.h"
 #include "support/error.h"
 #include "support/strings.h"
 
@@ -245,12 +245,9 @@ std::string render_run_file_info(const evstore::RunFileInfo& info) {
     }
   }
   if (info.checkpoint_wall_ms > 0) {
-    const auto now_ms =
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            std::chrono::system_clock::now().time_since_epoch())
-            .count();
     const double age_s =
-        static_cast<double>(now_ms - info.checkpoint_wall_ms) / 1000.0;
+        static_cast<double>(wall_clock_ms() - info.checkpoint_wall_ms) /
+        1000.0;
     char buf[64];
     std::snprintf(buf, sizeof buf, "%.1f", age_s < 0 ? 0.0 : age_s);
     out += "  last checkpoint: " + std::string(buf) + "s ago\n";

@@ -1,53 +1,34 @@
-// Chunk payload/footer encoding shared by the incremental LiveRunWriter
-// and the parallel one-shot saver (run_io.cc save_run). One encoder
-// means the two writers cannot drift: a chunk is the same bytes whether
-// it was checkpointed live or encoded on a worker thread — which is
-// also what keeps the hub's wire-format-is-the-file-format invariant:
-// a streamed chunk and a saved chunk are literally the same encoder
-// output.
+// The run byte stream, assembled in one place.
 //
-// Everything here is pure byte assembly — no I/O, no fault injection —
-// so encode_chunk_payload is safe to call concurrently for disjoint
-// chunks (it only reads the store). Each caller owns an EncodeArena:
-// every buffer the encoder touches lives there and is reused across
-// chunks, so steady-state encode allocates nothing. That reuse is the
-// fix for the 8-thread save regression — per-chunk std::string growth
-// serialized every worker on the allocator.
+// Four decisions define the bytes of a run (layout in run_io.h): the
+// 16-byte header, the high-water-mark delta chunk, the save layout, and
+// the footer. RunEncoder owns all four, plus the high-water marks into
+// the store's append stream and dictionaries. It does pure byte
+// assembly and no I/O: each complete chunk frame goes to the caller's
+// `emit` in stream order. The file target (LiveRunWriter, and save_run
+// through it) and the wire target (hub/client.h HubSink) are thin I/O
+// shells around one encoder, so the hub's "the wire format is the file
+// format" holds by construction, not by copied code.
+//
+// Each encoder owns its EncodeArenas: every buffer the chunk encoder
+// touches lives there and is reused across chunks, so a long-lived
+// flight recorder allocates nothing per chunk once warm, and the
+// parallel save layout does not serialize its workers on the allocator.
 #pragma once
 
 #include <cstdint>
-#include <cstring>
+#include <functional>
 #include <string>
-#include <string_view>
 #include <vector>
 
-#include "eventstore/codecs.h"
-#include "eventstore/event_store.h"
-#include "eventstore/run_format.h"
-#include "eventstore/schema.h"
+#include "eventstore/run.h"
 
-namespace diog::evstore::codec {
+namespace diog::evstore {
 
-inline void put_bytes(std::string& buf, const void* data, std::size_t n) {
-  buf.append(static_cast<const char*>(data), n);
-}
-inline void put_u8(std::string& buf, std::uint8_t v) { put_bytes(buf, &v, 1); }
-inline void put_u32(std::string& buf, std::uint32_t v) {
-  put_bytes(buf, &v, 4);
-}
-inline void put_i32(std::string& buf, std::int32_t v) { put_bytes(buf, &v, 4); }
-inline void put_u64(std::string& buf, std::uint64_t v) {
-  put_bytes(buf, &v, 8);
-}
-inline void put_i64(std::string& buf, std::int64_t v) { put_bytes(buf, &v, 8); }
-inline void put_str(std::string& buf, std::string_view s) {
-  put_u32(buf, static_cast<std::uint32_t>(s.size()));
-  put_bytes(buf, s.data(), s.size());
-}
+namespace codec {
 
-// Reusable per-encoder buffers. One arena per writer (LiveRunWriter
-// member) or per pipeline slot (save_run); never shared between
-// threads concurrently.
+// Reusable buffers for one chunk encode; never shared between threads
+// concurrently.
 struct EncodeArena {
   std::string payload;                  // the chunk payload being built
   std::string blob;                     // envelope + payload + checksum
@@ -56,168 +37,63 @@ struct EncodeArena {
   std::vector<std::uint64_t> miniblock; // delta codec miniblock scratch
 };
 
-// One coded column entry: tag | width | codec | u64 enc_len | body.
-// The preferred codec comes from format::kColumnCodecs, but the entry
-// deterministically falls back to kCodecRaw whenever coding does not
-// shrink the body, so hostile or incompressible data never inflates a
-// chunk past its v2 size (plus the 9-byte entry overhead).
-template <typename T>
-void put_column_coded(EncodeArena& a, std::uint8_t tag, const Column<T>& col,
-                      std::uint64_t rel_first, std::uint64_t count) {
-  std::string& buf = a.payload;
-  put_u8(buf, tag);
-  put_u8(buf, static_cast<std::uint8_t>(sizeof(T)));
-  const std::size_t codec_pos = buf.size();
-  const std::uint8_t preferred = format::kColumnCodecs[tag];
-  put_u8(buf, preferred);
-  const std::size_t len_pos = buf.size();
-  put_u64(buf, 0);  // patched below
-  const std::size_t body = buf.size();
-  const std::size_t raw_bytes = static_cast<std::size_t>(count) * sizeof(T);
+}  // namespace codec
 
-  a.staging.resize(raw_bytes);
-  auto* vals = reinterpret_cast<T*>(a.staging.data());
-  if (count > 0) col.copy_rows(rel_first, count, vals);
+// The rule every target follows: a finish() that ships the first bytes
+// emits the save layout — one chunk per kSegmentRows resident rows,
+// every dictionary in chunk 0, encoded a window of chunks at a time on
+// the pool and emitted in chunk order, so the bytes never depend on the
+// thread count. Every other checkpoint emits one delta chunk carrying
+// everything appended (and every dictionary entry interned) since the
+// previous chunk; events the ring evicted before they shipped are
+// skipped and counted as dropped.
+class RunEncoder {
+ public:
+  // Receives one complete chunk frame (envelope | payload | checksum).
+  // A throw aborts the checkpoint: the high-water marks stay where they
+  // were.
+  using Emit = std::function<void(const std::string& chunk)>;
 
-  if (preferred == format::kCodecVarint) {
-    for (std::uint64_t i = 0; i < count; ++i) {
-      put_varint(buf, static_cast<std::uint64_t>(vals[i]));
-    }
-  } else if (preferred == format::kCodecDelta) {
-    if constexpr (sizeof(T) == 8) {
-      a.widened.resize(static_cast<std::size_t>(count));
-      if (count > 0) std::memcpy(a.widened.data(), vals, raw_bytes);
-      a.miniblock.resize(kDeltaMiniblock);
-      put_delta_u64(buf, a.widened.data(), count, a.miniblock.data());
-    }
-  }
+  // `footer_wall_ms` pins the footer clock (ms since epoch); -1 stamps
+  // the real clock. Pinning it makes repeated encodes byte-identical.
+  explicit RunEncoder(std::int64_t footer_wall_ms = -1)
+      : footer_wall_ms_(footer_wall_ms) {}
 
-  if (preferred == format::kCodecRaw || buf.size() - body >= raw_bytes) {
-    buf.resize(body);
-    buf[codec_pos] = static_cast<char>(format::kCodecRaw);
-    put_bytes(buf, a.staging.data(), raw_bytes);
-  }
-  const std::uint64_t enc_len = buf.size() - body;
-  std::memcpy(buf.data() + len_pos, &enc_len, 8);
-}
+  // The 16-byte run header: magic, format version, reserved 0.
+  static std::string header();
 
-// Dictionary entries this chunk carries: [from, to) in serialization
-// order. The live writer passes its high-water marks; the one-shot
-// saver puts every entry in chunk 0 and empty ranges after that.
-struct DictRange {
-  std::uint32_t frames_from = 0, frames_to = 0;
-  std::uint32_t stacks_from = 1, stacks_to = 1;  // id 0 is implicit
-  std::uint32_t names_from = 1, names_to = 1;    // id 0 is implicit
+  // One delta chunk with everything new since the previous chunk.
+  // Emits nothing and returns false when a chunk already shipped,
+  // nothing changed, and `force` is false.
+  bool checkpoint(const TraceRun& run, bool force, const Emit& emit);
+
+  // Ships the rest of the run: the save layout when no chunk shipped
+  // yet, otherwise one forced delta chunk.
+  void finish(const TraceRun& run, const Emit& emit);
+
+  // The 48-byte footer describing every chunk shipped so far.
+  [[nodiscard]] std::string footer(bool final) const;
+
+  [[nodiscard]] std::uint64_t chunks() const { return chunks_; }
+  // Absolute append-stream index one past the last shipped event.
+  [[nodiscard]] std::uint64_t events() const { return next_event_; }
+  // Ring-evicted events that were never shipped.
+  [[nodiscard]] std::uint64_t dropped() const { return dropped_; }
+
+ private:
+  void save_layout(const TraceRun& run, const Emit& emit);
+
+  std::int64_t footer_wall_ms_;
+  std::uint64_t chunks_ = 0;
+  std::uint64_t next_event_ = 0;  // absolute index of first unshipped event
+  std::uint64_t dropped_ = 0;
+  std::uint32_t frames_written_ = 0;
+  std::uint32_t stacks_written_ = 1;  // empty stack id 0 is implicit
+  std::uint32_t names_written_ = 1;   // name id 0 is implicit
+  std::string last_meta_;
+  // arenas_[0] encodes delta chunks; the save layout uses one per
+  // chunk of its encode window.
+  std::vector<codec::EncodeArena> arenas_ = std::vector<codec::EncodeArena>(1);
 };
 
-// One chunk payload: meta + dictionary deltas + coded column slices for
-// events [chunk_first, chunk_first + count) of the append stream, where
-// `rel_first` is that range's start row in the store's resident window.
-// The result is left in a.payload (cleared first, capacity retained).
-inline void encode_chunk_payload(EncodeArena& a, const EventStore& store,
-                                 std::string_view meta_json,
-                                 const DictRange& dicts,
-                                 std::uint64_t chunk_first,
-                                 std::uint64_t count,
-                                 std::uint64_t rel_first) {
-  std::string& payload = a.payload;
-  payload.clear();
-  put_u64(payload, meta_json.size());
-  put_bytes(payload, meta_json.data(), meta_json.size());
-
-  const StackDict& stacks = store.stacks();
-  put_u32(payload, dicts.frames_to - dicts.frames_from);
-  for (std::uint32_t i = dicts.frames_from; i < dicts.frames_to; ++i) {
-    const trace::Frame* f = stacks.frame_at(i);
-    put_str(payload, f->function);
-    put_str(payload, f->file);
-    put_i32(payload, f->line);
-  }
-
-  put_u32(payload, dicts.stacks_to - dicts.stacks_from);
-  for (StackId id = dicts.stacks_from; id < dicts.stacks_to; ++id) {
-    const auto depth = static_cast<std::uint32_t>(stacks.depth(id));
-    put_u32(payload, depth);
-    for (std::uint32_t d = 0; d < depth; ++d) {
-      put_u32(payload,
-              static_cast<std::uint32_t>(stacks.stack_frame_id(id, d)));
-    }
-  }
-
-  put_u32(payload, dicts.names_to - dicts.names_from);
-  for (NameId id = dicts.names_from; id < dicts.names_to; ++id) {
-    put_str(payload, store.name(id));
-  }
-
-  put_u64(payload, chunk_first);
-  put_u64(payload, count);
-  put_u8(payload, static_cast<std::uint8_t>(format::kColumnCount));
-  put_u8(payload, format::kChunkEncodingCoded);
-  put_column_coded(a, 0, store.col_kind(), rel_first, count);
-  put_column_coded(a, 1, store.col_api(), rel_first, count);
-  put_column_coded(a, 2, store.col_flags(), rel_first, count);
-  put_column_coded(a, 3, store.col_stream(), rel_first, count);
-  put_column_coded(a, 4, store.col_stack(), rel_first, count);
-  put_column_coded(a, 5, store.col_aux_stack(), rel_first, count);
-  put_column_coded(a, 6, store.col_name(), rel_first, count);
-  put_column_coded(a, 7, store.col_op_index(), rel_first, count);
-  put_column_coded(a, 8, store.col_t_start(), rel_first, count);
-  put_column_coded(a, 9, store.col_t_end(), rel_first, count);
-  put_column_coded(a, 10, store.col_aux_time(), rel_first, count);
-  put_column_coded(a, 11, store.col_gpu_time(), rel_first, count);
-  put_column_coded(a, 12, store.col_bytes(), rel_first, count);
-  put_column_coded(a, 13, store.col_value(), rel_first, count);
-  put_column_coded(a, 14, store.col_link(), rel_first, count);
-}
-
-// The 12-byte chunk envelope (magic + payload length).
-inline std::string encode_chunk_envelope(const std::string& payload) {
-  std::string envelope;
-  put_u32(envelope, format::kChunkMagic);
-  put_u64(envelope, payload.size());
-  return envelope;
-}
-
-// The 8-byte payload checksum trailer.
-inline std::string encode_chunk_checksum(const std::string& payload) {
-  std::string tail;
-  put_u64(tail,
-          format::fnv1a(format::kFnvSeed, payload.data(), payload.size()));
-  return tail;
-}
-
-// One complete chunk frame — envelope | payload | checksum — in a.blob
-// (cleared first, capacity retained). This is what save_run's pipeline
-// slots hold and what a hub stream carries per chunk.
-inline void encode_chunk_blob(EncodeArena& a, const EventStore& store,
-                              std::string_view meta_json,
-                              const DictRange& dicts,
-                              std::uint64_t chunk_first, std::uint64_t count,
-                              std::uint64_t rel_first) {
-  encode_chunk_payload(a, store, meta_json, dicts, chunk_first, count,
-                       rel_first);
-  a.blob.clear();
-  put_u32(a.blob, format::kChunkMagic);
-  put_u64(a.blob, a.payload.size());
-  a.blob += a.payload;
-  put_u64(a.blob, format::fnv1a(format::kFnvSeed, a.payload.data(),
-                                a.payload.size()));
-}
-
-inline std::string encode_footer(bool final, std::uint64_t events,
-                                 std::uint64_t chunks,
-                                 std::int64_t wall_ms) {
-  std::string footer;
-  put_u32(footer, format::kFooterMagic);
-  put_u32(footer, final ? format::kFooterFlagFinal : 0u);
-  put_u64(footer, events);
-  put_u64(footer, chunks);
-  put_i64(footer, wall_ms);
-  const std::uint64_t checksum =
-      format::fnv1a(format::kFnvSeed, footer.data(), footer.size());
-  put_u64(footer, checksum);
-  put_bytes(footer, format::kEndMagic, sizeof(format::kEndMagic));
-  return footer;
-}
-
-}  // namespace diog::evstore::codec
+}  // namespace diog::evstore

@@ -3,11 +3,8 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
-#include <cstring>
 #include <filesystem>
 
-#include "eventstore/chunk_codec.h"
 #include "eventstore/run_format.h"
 #include "obs/span.h"
 #include "obs/telemetry.h"
@@ -18,13 +15,15 @@ namespace diog::evstore {
 
 namespace {
 
-using codec::put_bytes;
-using codec::put_u32;
-
-std::int64_t wall_clock_ms() {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::system_clock::now().time_since_epoch())
-      .count();
+// Models a torn write: the first `magnitude` bytes reach the file (a
+// killed writer, ENOSPC, ...), then nothing more.
+void write_prefix(std::FILE* f, const std::string& bytes,
+                  std::int64_t magnitude) {
+  const std::size_t keep = std::min(
+      bytes.size(),
+      static_cast<std::size_t>(std::max<std::int64_t>(0, magnitude)));
+  (void)std::fwrite(bytes.data(), 1, keep, f);
+  (void)std::fflush(f);
 }
 
 }  // namespace
@@ -33,7 +32,7 @@ LiveRunWriter::LiveRunWriter(std::string path)
     : LiveRunWriter(std::move(path), Options{}) {}
 
 LiveRunWriter::LiveRunWriter(std::string path, Options opts)
-    : path_(std::move(path)), opts_(opts) {
+    : path_(std::move(path)), opts_(opts), enc_(opts.footer_wall_ms) {
   // Run files routinely target a fresh directory (`--trace-dir out/`);
   // create it on demand.
   std::error_code ec;
@@ -47,10 +46,7 @@ LiveRunWriter::LiveRunWriter(std::string path, Options opts)
   }
   f_ = std::fopen(path_.c_str(), "wb+");
   DIOG_CHECK(f_ != nullptr, "cannot open run file for writing: " + path_);
-  std::string header;
-  put_bytes(header, format::kMagic, sizeof(format::kMagic));
-  put_u32(header, kFormatVersion);
-  put_u32(header, 0);  // reserved
+  const std::string header = RunEncoder::header();
   DIOG_CHECK(std::fwrite(header.data(), 1, header.size(), f_) ==
                  header.size(),
              "write failed for run file: " + path_);
@@ -74,104 +70,29 @@ void LiveRunWriter::flush(bool with_fsync) {
   }
 }
 
-bool LiveRunWriter::write_chunk(const TraceRun& run, bool force) {
-  const EventStore& store = *run.store;
-
-  // Events evicted from the ring before this checkpoint could persist
-  // them are gone; record the gap and continue from what is resident.
-  const std::uint64_t first_avail = store.first_index();
-  std::uint64_t chunk_first = next_event_;
-  if (first_avail > chunk_first) {
-    dropped_ += first_avail - chunk_first;
-    chunk_first = first_avail;
-  }
-  const std::uint64_t total = store.total_appended();
-  const std::uint64_t count = total - chunk_first;
-
-  const StackDict& stacks = store.stacks();
-  const std::uint32_t frame_count = stacks.frame_count();
-  const std::uint32_t stack_count = stacks.stack_count();
-  const std::uint32_t name_count = store.name_count();
-  const bool new_dicts = frame_count > frames_written_ ||
-                         stack_count > stacks_written_ ||
-                         name_count > names_written_;
-
-  RunMeta meta = run.meta;
-  meta.dropped_events += dropped_;
-  const std::string meta_json = meta.to_json().dump();
-
-  if (count == 0 && !new_dicts && meta_json == last_meta_ && chunks_ > 0 &&
-      !force) {
-    return false;
-  }
-
-  const codec::DictRange dicts{.frames_from = frames_written_,
-                               .frames_to = frame_count,
-                               .stacks_from = stacks_written_,
-                               .stacks_to = stack_count,
-                               .names_from = names_written_,
-                               .names_to = name_count};
-  {
-    DIOG_SPAN("evstore.save.encode");
-    codec::encode_chunk_payload(arena_, store, meta_json, dicts, chunk_first,
-                                count, chunk_first - first_avail);
-  }
-  const std::string& payload = arena_.payload;
-  const std::string envelope = codec::encode_chunk_envelope(payload);
-
+void LiveRunWriter::write_chunk(const std::string& chunk) {
+  DIOG_SPAN("evstore.save.write");
   DIOG_CHECK(std::fseek(f_, static_cast<long>(data_end_), SEEK_SET) == 0,
              "seek failed for run file: " + path_);
-  const auto write_all = [&](const std::string& b) {
-    if (const testkit::FaultSpec* spec =
-            testkit::fault_at("live_writer.write.chunk")) {
-      if (spec->action == testkit::FaultAction::kShortWrite) {
-        // Model a torn write: some prefix reaches the file, then the
-        // write reports failure (ENOSPC, a killed writer, ...).
-        const std::size_t keep = std::min(
-            b.size(), static_cast<std::size_t>(
-                          std::max<std::int64_t>(0, spec->magnitude)));
-        (void)std::fwrite(b.data(), 1, keep, f_);
-        (void)std::fflush(f_);
-      }
-      throw Error("write failed for run file: " + path_ + " (injected fault)");
+  if (const testkit::FaultSpec* spec =
+          testkit::fault_at("live_writer.write.chunk")) {
+    if (spec->action == testkit::FaultAction::kShortWrite) {
+      write_prefix(f_, chunk, spec->magnitude);
     }
-    DIOG_CHECK(std::fwrite(b.data(), 1, b.size(), f_) == b.size(),
-               "write failed for run file: " + path_);
-  };
-  {
-    DIOG_SPAN("evstore.save.write");
-    write_all(envelope);
-    write_all(payload);
+    throw Error("write failed for run file: " + path_ + " (injected fault)");
   }
-  const std::string tail = codec::encode_chunk_checksum(payload);
-  write_all(tail);
-  // The chunk must be on disk (at least in the page cache, in order)
-  // before the footer describes it.
-  flush(opts_.fsync_checkpoints);
-
-  data_end_ += envelope.size() + payload.size() + tail.size();
-  next_event_ = total;
-  frames_written_ = frame_count;
-  stacks_written_ = stack_count;
-  names_written_ = name_count;
-  last_meta_ = meta_json;
-  ++chunks_;
-
+  DIOG_CHECK(std::fwrite(chunk.data(), 1, chunk.size(), f_) == chunk.size(),
+             "write failed for run file: " + path_);
+  data_end_ += chunk.size();
   if (obs::Telemetry::enabled()) {
     auto& m = obs::Telemetry::global().metrics();
     m.counter("evstore.live.chunks").inc();
-    m.counter("evstore.live.chunk_bytes")
-        .inc(envelope.size() + payload.size() + tail.size());
-    m.counter("evstore.live.chunk_events").inc(count);
+    m.counter("evstore.live.chunk_bytes").inc(chunk.size());
   }
-  return true;
 }
 
 void LiveRunWriter::write_footer(bool final) {
-  const std::int64_t wall_ms =
-      opts_.footer_wall_ms >= 0 ? opts_.footer_wall_ms : wall_clock_ms();
-  const std::string footer =
-      codec::encode_footer(final, next_event_, chunks_, wall_ms);
+  const std::string footer = enc_.footer(final);
   DIOG_CHECK(footer.size() == format::kFooterBytes,
              "internal: footer size mismatch");
 
@@ -188,11 +109,7 @@ void LiveRunWriter::write_footer(bool final) {
   // bytes. Same contract: readable prefix, never a lie.
   if (const testkit::FaultSpec* spec =
           testkit::fault_at("live_writer.footer.torn")) {
-    const std::size_t keep = std::min(
-        footer.size(), static_cast<std::size_t>(
-                           std::max<std::int64_t>(0, spec->magnitude)));
-    (void)std::fwrite(footer.data(), 1, keep, f_);
-    (void)std::fflush(f_);
+    write_prefix(f_, footer, spec->magnitude);
     throw Error("write failed for run file footer: " + path_ +
                 " (injected torn footer)");
   }
@@ -202,31 +119,37 @@ void LiveRunWriter::write_footer(bool final) {
   flush(opts_.fsync_checkpoints);
 }
 
-void LiveRunWriter::do_checkpoint(const TraceRun& run, bool force,
-                                  bool final) {
-  const bool wrote = write_chunk(run, force || chunks_ == 0);
-  if (!wrote && !force && !final) return;
+void LiveRunWriter::commit(bool final, std::uint64_t shipped_before) {
+  // The chunks must be on disk (at least in the page cache, in order)
+  // before the footer describes them.
+  flush(opts_.fsync_checkpoints);
   write_footer(final);
-  ++checkpoints_;
   if (obs::Telemetry::enabled()) {
-    obs::Telemetry::global().metrics().counter("evstore.live.checkpoints")
-        .inc();
+    auto& m = obs::Telemetry::global().metrics();
+    m.counter("evstore.live.chunk_events")
+        .inc(enc_.events() - enc_.dropped() - shipped_before);
+    m.counter("evstore.live.checkpoints").inc();
   }
 }
 
 void LiveRunWriter::checkpoint(const TraceRun& run, bool force) {
   if (finished_) return;
-  do_checkpoint(run, force, /*final=*/false);
+  const std::uint64_t shipped = enc_.events() - enc_.dropped();
+  if (enc_.checkpoint(run, force, emit_)) commit(/*final=*/false, shipped);
 }
 
 void LiveRunWriter::finish(const TraceRun& run) {
   if (finished_) return;
-  do_checkpoint(run, /*force=*/true, /*final=*/true);
+  const std::uint64_t shipped = enc_.events() - enc_.dropped();
+  enc_.finish(run, emit_);
+  commit(/*final=*/true, shipped);
   finished_ = true;
   if (obs::Telemetry::enabled()) {
     auto& m = obs::Telemetry::global().metrics();
     m.counter("evstore.saved_runs").inc();
-    m.counter("evstore.saved_bytes").inc(data_end_ - format::kHeaderBytes);
+    // The file size minus the header: every chunk plus the footer.
+    m.counter("evstore.saved_bytes")
+        .inc(data_end_ + format::kFooterBytes - format::kHeaderBytes);
     // Segments flushed from the in-memory arena to disk.
     m.counter("evstore.spilled_segments").inc(run.store->segment_count());
   }

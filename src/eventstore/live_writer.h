@@ -9,11 +9,14 @@
 // complete chunk. Checkpoints optionally fsync so the prefix survives
 // power loss, not just process death.
 //
-// The writer tracks high-water marks into the store's append stream and
-// dictionaries, serializing only what is new since the previous
-// checkpoint. When ring eviction outruns checkpointing, the skipped
-// index range is recorded as dropped (surfaced via RunMeta's
-// dropped_events and the chunk index gap).
+// The bytes come from a RunEncoder (chunk_codec.h), which tracks the
+// high-water marks into the store's append stream and dictionaries, so
+// each checkpoint serializes only what is new. When ring eviction
+// outruns checkpointing, the skipped index range is recorded as dropped
+// (surfaced via RunMeta's dropped_events and the chunk index gap). This
+// class adds only the file I/O: fault sites, flush/fsync, and the
+// in-place footer rewrite. save_run is a LiveRunWriter whose only call
+// is finish().
 //
 // Threading: all methods must be called from the store's appending
 // thread (checkpoints read column data, which is single-writer).
@@ -25,10 +28,11 @@
 
 #include "eventstore/chunk_codec.h"
 #include "eventstore/run.h"
+#include "eventstore/sink.h"
 
 namespace diog::evstore {
 
-class LiveRunWriter {
+class LiveRunWriter : public CheckpointSink {
  public:
   struct Options {
     bool fsync_checkpoints = true;
@@ -44,28 +48,26 @@ class LiveRunWriter {
   LiveRunWriter(std::string path, Options opts);
   // Closes the file without finalizing — deliberately: destruction on
   // an error path must leave the same readable prefix a crash would.
-  ~LiveRunWriter();
+  ~LiveRunWriter() override;
   LiveRunWriter(const LiveRunWriter&) = delete;
   LiveRunWriter& operator=(const LiveRunWriter&) = delete;
 
   // Appends everything new since the last checkpoint as one chunk, then
   // rewrites the footer. Skipped entirely when nothing changed and
   // `force` is false. No-op after finish().
-  void checkpoint(const TraceRun& run, bool force = false);
+  void checkpoint(const TraceRun& run, bool force = false) override;
 
-  // Final checkpoint + footer with the finalized flag. Idempotent.
-  void finish(const TraceRun& run);
-
-  [[nodiscard]] std::uint64_t checkpoints() const { return checkpoints_; }
-  [[nodiscard]] std::uint64_t chunks() const { return chunks_; }
-  [[nodiscard]] std::uint64_t events_written() const { return next_event_; }
-  // Ring-evicted events that were never persisted.
-  [[nodiscard]] std::uint64_t dropped_events() const { return dropped_; }
-  [[nodiscard]] const std::string& path() const { return path_; }
+  // Final chunks + footer with the finalized flag. When nothing was
+  // checkpointed before, this writes the save layout (chunk_codec.h) —
+  // which is all save_run is. Idempotent.
+  void finish(const TraceRun& run) override;
 
  private:
-  void do_checkpoint(const TraceRun& run, bool force, bool final);
-  bool write_chunk(const TraceRun& run, bool force);
+  // Appends one chunk frame at data_end_ (the encoder's emit target).
+  void write_chunk(const std::string& chunk);
+  // Flushes the chunks just written, then rewrites the footer.
+  // `shipped_before` is the encoder's shipped-event count before them.
+  void commit(bool final, std::uint64_t shipped_before);
   void write_footer(bool final);
   void flush(bool with_fsync);
 
@@ -73,17 +75,10 @@ class LiveRunWriter {
   Options opts_;
   std::FILE* f_ = nullptr;
   std::uint64_t data_end_ = 0;  // file offset where the next chunk goes
-  std::uint64_t checkpoints_ = 0;
-  std::uint64_t chunks_ = 0;
-  std::uint64_t next_event_ = 0;  // absolute index of first unwritten event
-  std::uint64_t dropped_ = 0;
-  std::uint32_t frames_written_ = 0;
-  std::uint32_t stacks_written_ = 1;  // empty stack id 0 is implicit
-  std::uint32_t names_written_ = 1;   // name id 0 is implicit
-  std::string last_meta_;
-  // Encode buffers reused across checkpoints: a long-lived flight
-  // recorder allocates nothing per chunk once warm.
-  codec::EncodeArena arena_;
+  RunEncoder enc_;
+  const RunEncoder::Emit emit_ = [this](const std::string& chunk) {
+    write_chunk(chunk);
+  };
   bool finished_ = false;
 };
 

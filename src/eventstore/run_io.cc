@@ -6,14 +6,11 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <new>
 #include <vector>
 
-#include "eventstore/chunk_codec.h"
 #include "eventstore/codecs.h"
 #include "eventstore/live_writer.h"
 #include "eventstore/run_format.h"
@@ -617,131 +614,9 @@ void save_run(const std::string& path, const TraceRun& run) {
 void save_run(const std::string& path, const TraceRun& run,
               const SaveOptions& opts) {
   DIOG_SPAN("evstore.save");
-  const EventStore& store = *run.store;
-  const std::uint64_t chunk_rows = opts.chunk_rows == 0
-                                       ? kSegmentRows
-                                       : opts.chunk_rows;
-  const std::uint64_t first_avail = store.first_index();
-  const std::uint64_t n = store.size();
-  // Fixed chunking: ceil(n / chunk_rows) chunks regardless of thread
-  // count, so the file is byte-identical at --threads 1/2/8. An empty
-  // store still writes one (empty) chunk so the meta survives.
-  const std::uint64_t chunks =
-      n == 0 ? 1 : (n + chunk_rows - 1) / chunk_rows;
-
-  RunMeta meta = run.meta;
-  meta.dropped_events += first_avail;  // ring-evicted before this save
-  const std::string meta_json = meta.to_json().dump();
-
-  const StackDict& stacks = store.stacks();
-  const codec::DictRange all_dicts{.frames_from = 0,
-                                   .frames_to = stacks.frame_count(),
-                                   .stacks_from = 1,
-                                   .stacks_to = stacks.stack_count(),
-                                   .names_from = 1,
-                                   .names_to = store.name_count()};
-
-  // Open the file up front so an unwritable path fails before any
-  // encoding. Same fault sites as the live writer so the testkit drives
-  // both paths with one plan.
-  std::error_code ec;
-  const std::filesystem::path parent =
-      std::filesystem::path(path).parent_path();
-  if (!parent.empty()) std::filesystem::create_directories(parent, ec);
-  if (testkit::fault_at("live_writer.open") != nullptr) {
-    throw Error("cannot open run file for writing: " + path +
-                " (injected fault)");
-  }
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  DIOG_CHECK(f != nullptr, "cannot open run file for writing: " + path);
-  struct Closer {
-    std::FILE* f;
-    ~Closer() { std::fclose(f); }
-  } closer{f};
-
-  const auto write_all = [&](const char* data, std::size_t len) {
-    DIOG_CHECK(std::fwrite(data, 1, len, f) == len,
-               "write failed for run file: " + path);
-  };
-  std::string header;
-  codec::put_bytes(header, fmt::kMagic, sizeof(fmt::kMagic));
-  codec::put_u32(header, kFormatVersion);
-  codec::put_u32(header, 0);  // reserved
-  write_all(header.data(), header.size());
-
-  // Encode a window of chunks on the pool into reusable arenas, then
-  // write that window in index order. Chunk 0 carries the full
-  // dictionaries, later chunks only columns. The chunk layout and bytes
-  // stay a pure function of the store: the pool changes who encodes,
-  // never what, and every write happens in chunk order on this thread.
-  const std::size_t window = static_cast<std::size_t>(
-      std::min<std::uint64_t>(chunks, 2 * par::configured_threads()));
-  std::vector<codec::EncodeArena> slots(window);
-  std::uint64_t data_bytes = 0;
-  for (std::uint64_t base = 0; base < chunks; base += window) {
-    const auto batch = static_cast<std::size_t>(
-        std::min<std::uint64_t>(window, chunks - base));
-    par::parallel_for(batch, [&](std::size_t k) {
-      DIOG_SPAN("evstore.save.encode");
-      const std::uint64_t i = base + k;
-      const std::uint64_t rel_first = i * chunk_rows;
-      const std::uint64_t count =
-          std::min<std::uint64_t>(chunk_rows, n - rel_first);
-      codec::encode_chunk_blob(slots[k], store, meta_json,
-                               i == 0 ? all_dicts : codec::DictRange{},
-                               first_avail + rel_first, count, rel_first);
-    });
-    for (std::size_t k = 0; k < batch; ++k) {
-      DIOG_SPAN("evstore.save.write");
-      const std::string& blob = slots[k].blob;
-      if (const testkit::FaultSpec* spec =
-              testkit::fault_at("live_writer.write.chunk")) {
-        if (spec->action == testkit::FaultAction::kShortWrite) {
-          const std::size_t keep = std::min(
-              blob.size(), static_cast<std::size_t>(
-                               std::max<std::int64_t>(0, spec->magnitude)));
-          (void)std::fwrite(blob.data(), 1, keep, f);
-          (void)std::fflush(f);
-        }
-        throw Error("write failed for run file: " + path +
-                    " (injected fault)");
-      }
-      write_all(blob.data(), blob.size());
-      data_bytes += blob.size();
-    }
-  }
-
-  if (testkit::fault_at("live_writer.footer.before") != nullptr) {
-    throw Error("checkpoint failed before footer rewrite: " + path +
-                " (injected fault)");
-  }
-  const std::int64_t wall_ms =
-      opts.footer_wall_ms >= 0
-          ? opts.footer_wall_ms
-          : std::chrono::duration_cast<std::chrono::milliseconds>(
-                std::chrono::system_clock::now().time_since_epoch())
-                .count();
-  const std::string footer =
-      codec::encode_footer(/*final=*/true, first_avail + n, chunks, wall_ms);
-  if (const testkit::FaultSpec* spec =
-          testkit::fault_at("live_writer.footer.torn")) {
-    const std::size_t keep = std::min(
-        footer.size(), static_cast<std::size_t>(
-                           std::max<std::int64_t>(0, spec->magnitude)));
-    (void)std::fwrite(footer.data(), 1, keep, f);
-    (void)std::fflush(f);
-    throw Error("write failed for run file footer: " + path +
-                " (injected torn footer)");
-  }
-  write_all(footer.data(), footer.size());
-  DIOG_CHECK(std::fflush(f) == 0, "flush failed for run file: " + path);
-
-  if (obs::Telemetry::enabled()) {
-    auto& m = obs::Telemetry::global().metrics();
-    m.counter("evstore.saved_runs").inc();
-    m.counter("evstore.saved_bytes").inc(data_bytes + footer.size());
-    m.counter("evstore.spilled_segments").inc(store.segment_count());
-  }
+  LiveRunWriter(path, {.fsync_checkpoints = false,
+                       .footer_wall_ms = opts.footer_wall_ms})
+      .finish(run);
 }
 
 TraceRun open_run(const std::string& path, ReadMode mode,

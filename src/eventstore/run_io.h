@@ -64,10 +64,6 @@ enum class ReadMode {
   kStream,  // buffered file read, no mmap
 };
 
-// How much of a run file was readable. `clean` means the file ended at
-// a valid footer; `finalized` additionally means the writer called
-// finish() (nothing more will ever be appended). A file that is neither
-// is an in-progress or torn prefix — still loadable, just incomplete.
 // Per-chunk compression accounting (trace stat, archive digests).
 // `stored` is the column bytes as they sit in the file; `raw` is what
 // the same columns occupy decoded (count * width summed) — their ratio
@@ -79,6 +75,10 @@ struct ChunkEncodingStat {
   std::uint64_t column_bytes_raw = 0;
 };
 
+// How much of a run file was readable. `clean` means the file ended at
+// a valid footer; `finalized` additionally means the writer called
+// finish() (nothing more will ever be appended). A file that is neither
+// is an in-progress or torn prefix — still loadable, just incomplete.
 struct RunFileInfo {
   bool clean = false;
   bool finalized = false;
@@ -110,21 +110,20 @@ std::string run_file_path(const std::string& dir,
 std::string heartbeat_file_path(const std::string& dir,
                                 const std::string& workload);
 
-// One-shot save controls. The chunk layout is a pure function of the
-// store contents and `chunk_rows` — never of the thread count — so a
+// One-shot save controls. The file holds the save layout
+// (chunk_codec.h): one chunk per kSegmentRows resident rows, a pure
+// function of the store contents — never of the thread count — so a
 // saved file is byte-identical at --threads 1, 2, or 8.
 struct SaveOptions {
-  // Events per chunk. One chunk per store segment keeps encode work
-  // units aligned with the columns' arena geometry.
-  std::uint64_t chunk_rows = kSegmentRows;
   // Footer wall-clock override (ms since epoch); -1 stamps the real
   // clock. Pin it to make repeated saves byte-identical.
   std::int64_t footer_wall_ms = -1;
 };
 
-// Serializes the complete run as a finalized chunked file. Chunks are
-// encoded and checksummed in parallel (parallel/thread_pool.h), then
-// written in order. Throws diog::Error on I/O failure.
+// Serializes the complete run as a finalized chunked file: a
+// LiveRunWriter (without fsync) whose only call is finish(). Chunks are
+// encoded in parallel (parallel/thread_pool.h), then written in order.
+// Throws diog::Error on I/O failure.
 void save_run(const std::string& path, const TraceRun& run);
 void save_run(const std::string& path, const TraceRun& run,
               const SaveOptions& opts);

@@ -1,8 +1,9 @@
 // Pluggable checkpoint targets for the flight recorder.
 //
-// The recorder's persistence half is the LiveRunWriter (a local file);
-// a CheckpointSink is the same contract pointed somewhere else — today
-// the trace hub's TCP wire (src/hub/client.h). The factory indirection
+// A CheckpointSink is where the recorder's checkpoints go: the run file
+// (LiveRunWriter, live_writer.h) or the trace hub's TCP wire (HubSink,
+// src/hub/client.h). Both are I/O shells over one RunEncoder
+// (chunk_codec.h), so they ship the same bytes. The factory indirection
 // exists purely for layering: core cannot link the hub (the hub links
 // archive, which links core), so the hub registers its factory at
 // process startup and core resolves `--sink <url>` through it without
@@ -19,9 +20,9 @@ namespace diog::evstore {
 class CheckpointSink {
  public:
   virtual ~CheckpointSink() = default;
-  // Same contract as LiveRunWriter::checkpoint / finish: called from
-  // the store's appending thread; checkpoint() ships everything new
-  // since the previous one, finish() seals the stream (idempotent).
+  // Called from the store's appending thread. checkpoint() ships
+  // everything new since the previous one (skipped when nothing changed
+  // and `force` is false); finish() seals the stream (idempotent).
   virtual void checkpoint(const TraceRun& run, bool force) = 0;
   virtual void finish(const TraceRun& run) = 0;
 };

@@ -1,7 +1,5 @@
 #include "hub/client.h"
 
-#include <algorithm>
-#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -9,22 +7,11 @@
 #include <string_view>
 #include <vector>
 
-#include "eventstore/chunk_codec.h"
-#include "eventstore/run_format.h"
 #include "support/error.h"
 
 namespace diog::hub {
 
 namespace {
-
-namespace fmt = evstore::format;
-namespace codec = evstore::codec;
-
-std::int64_t wall_clock_ms() {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::system_clock::now().time_since_epoch())
-      .count();
-}
 
 // Reads the server's single-line reply (connection closed after it).
 HubResponse read_response(net::Conn& conn) {
@@ -132,126 +119,26 @@ HubResponse push_run_file(const std::string& path, ClientOptions opts) {
 // --- HubSink -----------------------------------------------------------------
 
 HubSink::HubSink(ClientOptions copts, Options opts)
-    : opts_(opts), conn_(net::connect("hub", copts.host, copts.port)) {
+    : conn_(net::connect("hub", copts.host, copts.port)),
+      enc_(opts.footer_wall_ms),
+      emit_([this](const std::string& chunk) {
+        send_or_verdict(*conn_, chunk);
+      }) {
   send_or_verdict(*conn_, encode_hello(copts.workload));
-  std::string header;
-  codec::put_bytes(header, fmt::kMagic, sizeof(fmt::kMagic));
-  codec::put_u32(header, evstore::kFormatVersion);
-  codec::put_u32(header, 0);  // reserved
-  send_or_verdict(*conn_, header);
+  send_or_verdict(*conn_, evstore::RunEncoder::header());
 }
 
 HubSink::~HubSink() = default;
 
-// The LiveRunWriter high-water-mark discipline, pointed at the wire:
-// one chunk per checkpoint carrying everything appended (and every
-// dictionary entry interned) since the previous one. Returns false when
-// there was nothing new and the checkpoint was not forced.
-bool HubSink::send_delta_chunk(const evstore::TraceRun& run, bool force) {
-  const evstore::EventStore& store = *run.store;
-  const std::uint64_t first_avail = store.first_index();
-  std::uint64_t chunk_first = next_event_;
-  if (first_avail > chunk_first) {
-    dropped_ += first_avail - chunk_first;
-    chunk_first = first_avail;
-  }
-  const std::uint64_t total = store.total_appended();
-  const std::uint64_t count = total - chunk_first;
-
-  const evstore::StackDict& stacks = store.stacks();
-  const std::uint32_t frame_count = stacks.frame_count();
-  const std::uint32_t stack_count = stacks.stack_count();
-  const std::uint32_t name_count = store.name_count();
-  const bool new_dicts = frame_count > frames_written_ ||
-                         stack_count > stacks_written_ ||
-                         name_count > names_written_;
-
-  evstore::RunMeta meta = run.meta;
-  meta.dropped_events += dropped_;
-  const std::string meta_json = meta.to_json().dump();
-
-  if (count == 0 && !new_dicts && meta_json == last_meta_ && chunks_ > 0 &&
-      !force) {
-    return false;
-  }
-
-  const codec::DictRange dicts{.frames_from = frames_written_,
-                               .frames_to = frame_count,
-                               .stacks_from = stacks_written_,
-                               .stacks_to = stack_count,
-                               .names_from = names_written_,
-                               .names_to = name_count};
-  codec::encode_chunk_blob(arena_, store, meta_json, dicts, chunk_first,
-                           count, chunk_first - first_avail);
-  send_or_verdict(*conn_, arena_.blob);
-
-  next_event_ = total;
-  frames_written_ = frame_count;
-  stacks_written_ = stack_count;
-  names_written_ = name_count;
-  last_meta_ = meta_json;
-  ++chunks_;
-  return true;
-}
-
-// The save_run layout for the whole resident store: same chunk_rows
-// splits, full dictionaries on chunk 0, same meta on every chunk. Used
-// by finish() when no checkpoint ever shipped, which makes the stream
-// byte-identical to a local save_run of the same store.
-void HubSink::send_save_layout(const evstore::TraceRun& run) {
-  const evstore::EventStore& store = *run.store;
-  const std::uint64_t chunk_rows = evstore::kSegmentRows;
-  const std::uint64_t first_avail = store.first_index();
-  const std::uint64_t n = store.size();
-  const std::uint64_t chunks = n == 0 ? 1 : (n + chunk_rows - 1) / chunk_rows;
-
-  dropped_ += first_avail - next_event_;
-  evstore::RunMeta meta = run.meta;
-  meta.dropped_events += dropped_;
-  const std::string meta_json = meta.to_json().dump();
-
-  const evstore::StackDict& stacks = store.stacks();
-  const codec::DictRange all_dicts{.frames_from = 0,
-                                   .frames_to = stacks.frame_count(),
-                                   .stacks_from = 1,
-                                   .stacks_to = stacks.stack_count(),
-                                   .names_from = 1,
-                                   .names_to = store.name_count()};
-  for (std::uint64_t i = 0; i < chunks; ++i) {
-    const std::uint64_t rel_first = i * chunk_rows;
-    const std::uint64_t count = std::min<std::uint64_t>(chunk_rows, n - rel_first);
-    codec::encode_chunk_blob(arena_, store, meta_json,
-                             i == 0 ? all_dicts : codec::DictRange{},
-                             first_avail + rel_first, count, rel_first);
-    send_or_verdict(*conn_, arena_.blob);
-  }
-
-  next_event_ = first_avail + n;
-  frames_written_ = stacks.frame_count();
-  stacks_written_ = stacks.stack_count();
-  names_written_ = store.name_count();
-  last_meta_ = meta_json;
-  chunks_ += chunks;
-}
-
 void HubSink::checkpoint(const evstore::TraceRun& run, bool force) {
   if (finished_) return;
-  send_delta_chunk(run, force || chunks_ == 0);
+  enc_.checkpoint(run, force, emit_);
 }
 
 void HubSink::finish(const evstore::TraceRun& run) {
   if (finished_) return;
-  if (chunks_ == 0) {
-    send_save_layout(run);
-  } else {
-    send_delta_chunk(run, /*force=*/true);
-  }
-  const std::int64_t wall_ms =
-      opts_.footer_wall_ms >= 0 ? opts_.footer_wall_ms : wall_clock_ms();
-  send_or_verdict(
-      *conn_,
-      codec::encode_footer(/*final=*/true, next_event_, chunks_, wall_ms),
-      /*last=*/true);
+  enc_.finish(run, emit_);
+  send_or_verdict(*conn_, enc_.footer(/*final=*/true), /*last=*/true);
   response_ = read_verdict(*conn_);
   conn_.reset();
   finished_ = true;

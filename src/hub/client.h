@@ -5,11 +5,12 @@
 // uploading a saved run re-archives the exact same object id a local
 // `archive add` would have produced, and re-pushing dedups for free.
 //
-// HubSink implements eventstore/sink.h over one TCP connection: each
-// recorder checkpoint ships everything new since the previous one as a
-// sealed chunk (the LiveRunWriter high-water-mark discipline), and
-// finish() seals the stream with the final footer, then waits for the
-// server's ingest verdict. Unlike the file writer there are no
+// HubSink implements eventstore/sink.h over one TCP connection. It is
+// the wire target of the same RunEncoder (eventstore/chunk_codec.h) a
+// LiveRunWriter writes through: each recorder checkpoint ships
+// everything new since the previous one as a sealed chunk, and finish()
+// seals the stream with the final footer, then waits for the server's
+// ingest verdict. Unlike the file writer there are no
 // intermediate footers — a byte stream cannot seek — so a connection
 // torn mid-run leaves the server a torn (footerless) prefix, which is
 // exactly what a SIGKILL'd local writer leaves. When finish() is the
@@ -79,27 +80,16 @@ class HubSink : public evstore::CheckpointSink {
   [[nodiscard]] bool finished() const { return finished_; }
   // The ingest verdict; only meaningful after finish() returned.
   [[nodiscard]] const HubResponse& response() const { return response_; }
-  [[nodiscard]] std::uint64_t chunks_sent() const { return chunks_; }
+  [[nodiscard]] std::uint64_t chunks_sent() const { return enc_.chunks(); }
 
  private:
-  bool send_delta_chunk(const evstore::TraceRun& run, bool force);
-  void send_save_layout(const evstore::TraceRun& run);
-
-  Options opts_;
   std::optional<net::Conn> conn_;  // reset once finish() has the verdict
   bool finished_ = false;
   HubResponse response_;
-  // Reused across checkpoints; the wire chunk is the same encoder
-  // output as a saved chunk (chunk_codec.h).
-  evstore::codec::EncodeArena arena_;
-  // LiveRunWriter's high-water marks into the store's append stream.
-  std::uint64_t next_event_ = 0;
-  std::uint64_t dropped_ = 0;
-  std::uint64_t chunks_ = 0;
-  std::uint32_t frames_written_ = 0;
-  std::uint32_t stacks_written_ = 1;  // empty stack id 0 is implicit
-  std::uint32_t names_written_ = 1;   // name id 0 is implicit
-  std::string last_meta_;
+  // The same encoder a LiveRunWriter writes through, pointed at the
+  // wire: the streamed bytes are file bytes by construction.
+  evstore::RunEncoder enc_;
+  evstore::RunEncoder::Emit emit_;  // sends one chunk frame
 };
 
 // Registers the sink factory for tcp:// URLs (eventstore/sink.h), so

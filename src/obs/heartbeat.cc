@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "obs/telemetry.h"
+#include "support/clock.h"
 #include "support/error.h"
 
 namespace diog::obs {
@@ -22,12 +23,6 @@ void on_sigusr1(int /*signo*/) {
   // The only thing a handler may do here: bump a lock-free atomic. The
   // reporter thread and the flight recorder poll the sequence.
   g_request_seq.fetch_add(1, std::memory_order_relaxed);
-}
-
-std::int64_t wall_clock_ms() {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::system_clock::now().time_since_epoch())
-      .count();
 }
 
 std::mutex g_reporters_mu;

@@ -36,6 +36,15 @@ inline constexpr double to_seconds(Duration d) {
   return static_cast<double>(d.count()) / 1e9;
 }
 
+// Real wall-clock time in milliseconds since the Unix epoch. Only for
+// stamps that leave the process (run-file footers, heartbeats, archive
+// ingest, a run's age), never for the simulated timeline.
+inline std::int64_t wall_clock_ms() {
+  return std::chrono::duration_cast<std::chrono::milliseconds>(
+             std::chrono::system_clock::now().time_since_epoch())
+      .count();
+}
+
 // The single virtual clock for a simulated run. One instance lives inside
 // each gpusim::Runtime; a global mirror of the current reading is kept in
 // an atomic so that async-signal contexts (the page-protection tracer's

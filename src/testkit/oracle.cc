@@ -62,7 +62,8 @@ void reshard_run_to_file(const evstore::TraceRun& src,
   evstore::TraceRun dst;
   dst.meta = src.meta;
   evstore::LiveRunWriter writer(
-      path, evstore::LiveRunWriter::Options{.fsync_checkpoints = false});
+      path, evstore::LiveRunWriter::Options{.fsync_checkpoints = false,
+                                            .footer_wall_ms = 0});
   const evstore::EventStore& s = *src.store;
   for (std::uint64_t i = 0; i < s.size(); ++i) {
     evstore::Event e = s.event(i);
@@ -282,9 +283,7 @@ OracleReport check_analysis_invariants(const evstore::TraceRun& run,
         fs::remove_all(arch_root, ec);
         const std::string alt =
             (fs::path(opts.work_dir) / "oracle-alt.dgtrace").string();
-        evstore::save_run(
-            alt, run,
-            evstore::SaveOptions{.chunk_rows = 1009, .footer_wall_ms = 0});
+        reshard_run_to_file(run, alt, 1009);
         archive::ArchiveOptions aopts;
         aopts.root = arch_root;
         aopts.config = opts.cfg;

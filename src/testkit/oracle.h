@@ -75,7 +75,9 @@ OracleReport check_analysis_invariants(const evstore::TraceRun& run,
 
 // Order-preserving rebuild of `src` through a LiveRunWriter that
 // checkpoints every `period` events, producing a multi-chunk file with
-// identical event content. Exposed for tests.
+// identical event content. The footer clock is pinned to 0, so the
+// file bytes are a pure function of `src` and `period`. Exposed for
+// tests.
 void reshard_run_to_file(const evstore::TraceRun& src,
                          const std::string& path, std::size_t period);
 

@@ -26,6 +26,8 @@
 #include "eventstore/run_io.h"
 #include "gpusim/api.h"
 #include "gpusim/host_buffer.h"
+#include "obs/obs.h"
+#include "obs/telemetry.h"
 #include "support/error.h"
 #include "trace/callstack.h"
 
@@ -961,6 +963,57 @@ TEST_F(RunIoTest, RingEvictionGapsAreRecordedAsDropped) {
   EXPECT_EQ(back.store->size(), 2 * kSegmentRows);
   // The file holds the surviving window, oldest first.
   EXPECT_EQ(back.store->event(0).op_index, kSegmentRows);
+}
+
+// save_run is a LiveRunWriter whose only call is finish(), so a writer
+// that ships nothing before finish() writes the save layout: the same
+// bytes, chunk for chunk, even when the run spans several chunks.
+TEST_F(RunIoTest, LiveWriterFinishFirstWritesTheSaveRunBytes) {
+  const TraceRun run = sample_run(2 * kSegmentRows + 100);
+  const std::string saved = dir_ + "/saved.dgtrace";
+  save_run(saved, run, SaveOptions{.footer_wall_ms = 0});
+  {
+    LiveRunWriter w(path_, {.fsync_checkpoints = false, .footer_wall_ms = 0});
+    w.finish(run);
+  }
+  EXPECT_EQ(slurp(path_), slurp(saved));
+  RunFileInfo info;
+  (void)open_run(path_, ReadMode::kAuto, &info);
+  EXPECT_TRUE(info.finalized);
+  EXPECT_EQ(info.chunks, 3u);
+}
+
+// evstore.saved_bytes is the file size minus the 16-byte header, for a
+// one-shot save and for a checkpointed live run alike.
+TEST_F(RunIoTest, SavedBytesCountsTheFileMinusItsHeader) {
+  if (!obs::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
+  const auto saved_bytes = [] {
+    return obs::Telemetry::global()
+        .metrics()
+        .counter("evstore.saved_bytes")
+        .value();
+  };
+  const auto file_size = [](const std::string& p) {
+    return static_cast<std::uint64_t>(std::filesystem::file_size(p));
+  };
+
+  std::uint64_t before = saved_bytes();
+  save_run(path_, sample_run(kSegmentRows + 100));
+  EXPECT_EQ(saved_bytes() - before, file_size(path_) - 16);
+
+  const std::string live = dir_ + "/live.dgtrace";
+  TraceRun run;
+  run.meta.workload = "live";
+  before = saved_bytes();
+  {
+    LiveRunWriter w(live, {.fsync_checkpoints = false});
+    w.checkpoint(run, /*force=*/true);
+    append_varied(run, 0, 300);
+    w.checkpoint(run, /*force=*/true);
+    append_varied(run, 300, 200);
+    w.finish(run);
+  }
+  EXPECT_EQ(saved_bytes() - before, file_size(live) - 16);
 }
 
 TEST_F(RunIoTest, FollowerSeesWriterProgressIncrementally) {

@@ -612,25 +612,32 @@ TEST_F(HubTest, HubSinkFinishOnlyStreamIsByteIdenticalToSaveRun) {
   HubServer server(std::move(sopts));
   ServeGuard guard(server);
 
-  const evstore::TraceRun run = make_run(2000, "sink_wl");
-  const std::vector<unsigned char> bytes = pinned_save_bytes(run, "local.dgtrace");
+  // One chunk, then three: the save layout's chunk split must match too.
+  for (const std::uint64_t events :
+       {std::uint64_t{2000}, std::uint64_t{2 * evstore::kSegmentRows + 1000}}) {
+    SCOPED_TRACE(events);
+    const std::string workload = "sink_wl_" + std::to_string(events);
+    const evstore::TraceRun run = make_run(events, workload);
+    const std::vector<unsigned char> bytes =
+        pinned_save_bytes(run, workload + ".dgtrace");
 
-  ClientOptions copts;
-  copts.port = server.port();
-  copts.workload = "sink_wl";
-  HubSink::Options hopts;
-  hopts.footer_wall_ms = 0;
-  HubSink sink(copts, hopts);
-  sink.finish(run);
-  ASSERT_TRUE(sink.finished());
-  const HubResponse& r = sink.response();
-  EXPECT_TRUE(r.ok);
-  ASSERT_FALSE(r.run_id.empty());
-  // finish() with no prior checkpoints uses the save_run layout, so the
-  // streamed bytes — and thus the archived object — are byte-identical
-  // to the local pinned save.
-  EXPECT_EQ(read_bytes(dir_ + "/archive/objects/" + r.run_id + ".dgtrace"),
-            bytes);
+    ClientOptions copts;
+    copts.port = server.port();
+    copts.workload = workload;
+    HubSink::Options hopts;
+    hopts.footer_wall_ms = 0;
+    HubSink sink(copts, hopts);
+    sink.finish(run);
+    ASSERT_TRUE(sink.finished());
+    const HubResponse& r = sink.response();
+    EXPECT_TRUE(r.ok);
+    ASSERT_FALSE(r.run_id.empty());
+    // finish() with no prior checkpoints uses the save_run layout, so the
+    // streamed bytes — and thus the archived object — are byte-identical
+    // to the local pinned save.
+    EXPECT_EQ(read_bytes(dir_ + "/archive/objects/" + r.run_id + ".dgtrace"),
+              bytes);
+  }
 }
 
 TEST_F(HubTest, CheckpointedHubSinkMatchesTheLiveWriterChunkForChunk) {
@@ -750,7 +757,6 @@ TEST_F(HubTest, FlightRecorderStreamsThroughTheRegisteredSinkFactory) {
   cfg.sink = "tcp://127.0.0.1:" + std::to_string(server.port());
   {
     ffm::FlightRecorder rec(run, cfg, "fr_wl");
-    ASSERT_NE(rec.sink(), nullptr);
     rec.finish();
   }
   archive::ArchiveOptions aopts;

@@ -282,6 +282,45 @@ TEST_F(FaultTest, TornFooterMidWriteKeepsAllChunksReadable) {
   EXPECT_EQ(back.store->size(), 64u);
 }
 
+// The one-shot save runs through the same writer, so its fault sites
+// leave the same classified prefixes. Three chunks: the save layout
+// writes each one as a single blob.
+TEST_F(FaultTest, OneShotSaveShortChunkWriteKeepsEarlierChunks) {
+  const evstore::TraceRun run = sample_run(2 * evstore::kSegmentRows + 100);
+  {
+    FaultPlan plan(1);
+    FaultSpec s = spec("live_writer.write.chunk", FaultAction::kShortWrite);
+    s.after = 1;  // chunk 0 lands whole, chunk 1 tears
+    plan.add(s);
+    FaultScope scope(plan);
+    EXPECT_THROW(evstore::save_run(path_, run), Error);
+    EXPECT_EQ(plan.fires("live_writer.write.chunk"), 1u);
+  }
+  evstore::RunFileInfo info;
+  const evstore::TraceRun back =
+      evstore::open_run(path_, evstore::ReadMode::kAuto, &info);
+  EXPECT_FALSE(info.clean);
+  EXPECT_EQ(info.chunks, 1u);
+  EXPECT_EQ(back.store->size(), evstore::kSegmentRows);
+}
+
+TEST_F(FaultTest, OneShotSaveTornFooterKeepsAllChunks) {
+  const evstore::TraceRun run = sample_run(2 * evstore::kSegmentRows + 100);
+  {
+    FaultPlan plan(1);
+    plan.add(spec("live_writer.footer.torn", FaultAction::kShortWrite, 10));
+    FaultScope scope(plan);
+    EXPECT_THROW(evstore::save_run(path_, run), Error);
+    EXPECT_GE(plan.fires("live_writer.footer.torn"), 1u);
+  }
+  evstore::RunFileInfo info;
+  const evstore::TraceRun back =
+      evstore::open_run(path_, evstore::ReadMode::kAuto, &info);
+  EXPECT_FALSE(info.clean);
+  EXPECT_EQ(info.chunks, 3u);
+  EXPECT_EQ(back.store->size(), 2 * evstore::kSegmentRows + 100);
+}
+
 // --- event_store site --------------------------------------------------------
 
 TEST_F(FaultTest, SegmentAllocFaultLeavesStoreConsistent) {
