@@ -7,12 +7,12 @@
 // single outlier run cannot move — the usual reason fleet alerting on
 // means pages people at 3am.
 //
-// Findings come out in the explanation engine's narrative shape
-// (pattern id, one-line headline, a short "why" narrative, and the
-// numbers as machine-readable evidence) so CLI and API consumers read
-// one style for both within-run explanations and cross-run drift. The
-// emulation is deliberate: the archive sits below explore in the layer
-// graph, so it reproduces the shape instead of linking the engine.
+// Findings come out in the diagnosis's narrative shape (pattern id,
+// one-line headline, a short "why" narrative, and the numbers as
+// machine-readable evidence) so CLI and API consumers read one style
+// for both within-run diagnoses and cross-run drift. Only the shape is
+// shared: drift is classified from index digests, which hold no
+// stage-5 groups for core/diagnosis to read.
 //
 // Determinism: a report is a pure function of the index contents and
 // the options — byte-identical JSON and text at any thread count.

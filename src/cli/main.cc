@@ -101,9 +101,9 @@
 #include "archive/archive.h"
 #include "archive/regress.h"
 #include "baselines/profilers.h"
-#include "core/autofix.h"
-#include "core/diogenes.h"
 #include "core/compare.h"
+#include "core/diagnosis.h"
+#include "core/diogenes.h"
 #include "core/uvm_analysis.h"
 #include "core/report.h"
 #include "eventstore/run_io.h"
@@ -576,7 +576,7 @@ int main(int argc, char** argv) {
       if (sub == "analyze" && arg < argc) {
         const ffm::AnalysisResult res =
             ffm::run_analysis(evstore::open_run(argv[arg]), cfg);
-        std::printf("%s", explore::render_explained_overview(res).c_str());
+        std::printf("%s", ffm::render_explained_overview(res).c_str());
         std::printf("\ntotal estimated benefit: %s (%s of execution)\n",
                     format_seconds(res.benefit.total).c_str(),
                     format_percent(res.fraction_of_exec(res.benefit.total))
@@ -1019,8 +1019,8 @@ int main(int argc, char** argv) {
 
   if (command == "overview" || command == "stages") {
     // The explained overview: the Figure-7 listing plus a "why:" line
-    // per entry from the explanation engine.
-    std::printf("%s", explore::render_explained_overview(r).c_str());
+    // per entry from its diagnosis.
+    std::printf("%s", ffm::render_explained_overview(r).c_str());
     std::printf("\ntotal estimated benefit: %s (%s of execution); "
                 "collection cost %.1fx\n",
                 format_seconds(r.benefit.total).c_str(),

@@ -7,10 +7,11 @@
 namespace diog::ffm {
 
 Duration BenefitReport::benefit_of(std::size_t node_index) const {
-  for (const NodeBenefit& nb : per_node) {
-    if (nb.node == node_index) return nb.benefit;
-  }
-  return Duration{0};
+  const auto it = std::lower_bound(
+      per_node.begin(), per_node.end(), node_index,
+      [](const NodeBenefit& nb, std::size_t i) { return nb.node < i; });
+  return it != per_node.end() && it->node == node_index ? it->benefit
+                                                        : Duration{0};
 }
 
 void Replay::check_target(std::size_t i) {

@@ -43,11 +43,13 @@ struct NodeBenefit {
 };
 
 struct BenefitReport {
+  // Ascending by node index (targets are visited in graph order).
   std::vector<NodeBenefit> per_node;
   Duration total{0};
   Duration sync_benefit{0};      // unnecessary + misplaced syncs
   Duration transfer_benefit{0};  // unnecessary transfers
 
+  // The node's benefit, 0 for a node without one (binary search).
   [[nodiscard]] Duration benefit_of(std::size_t node_index) const;
 };
 

@@ -12,11 +12,8 @@ void fold_member_facts(const AnalysisResult& r, Finding& f) {
   std::array<std::size_t, static_cast<std::size_t>(hooks::Fn::kCount_) + 1>
       api_counts{};
   // A merged sequence's benefit covers every loop instance; the member
-  // facts should too, so aggregate over all instances when present.
-  const std::vector<std::vector<std::size_t>> single{f.group->nodes};
-  const auto& instance_sets =
-      f.group->instances.empty() ? single : f.group->instances;
-  for (const auto& members : instance_sets) {
+  // facts should too, so aggregate over all instances.
+  for (const std::vector<std::size_t>& members : f.group->instance_sets()) {
     for (const std::size_t i : members) {
       if (i >= nodes.size()) continue;
       const Node& n = nodes[i];
@@ -29,7 +26,6 @@ void fold_member_facts(const AnalysisResult& r, Finding& f) {
           break;
         case ProblemType::kMisplacedSync:
           ++f.misplaced_syncs;
-          f.total_first_use_gap += n.first_use_time;
           f.max_first_use_gap =
               std::max(f.max_first_use_gap, n.first_use_time);
           break;

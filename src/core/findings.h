@@ -6,9 +6,9 @@
 // first" — but the analysis hands them three parallel grouping lenses.
 // A Finding is one entry of the merged, benefit-sorted view (folds and
 // sequences, exactly the set render_overview shows), together with the
-// per-member facts an explanation engine needs: which nodes are
-// involved, what problem each carries, how much wait time the members
-// pin down, and how large the first-use gaps are.
+// per-member facts a diagnosis needs: which nodes are involved, what
+// problem each carries, how much wait time the members pin down, and
+// how large the first-use gaps are.
 #pragma once
 
 #include <vector>
@@ -34,9 +34,8 @@ struct Finding {
   // launch time for transfers): the raw time the members occupy, the
   // denominator of "how much of it is recoverable".
   Duration member_time{0};
-  // First-use gaps across misplaced members (0 when none).
+  // Largest first-use gap across misplaced members (0 when none).
   Duration max_first_use_gap{0};
-  Duration total_first_use_gap{0};
   // Dominant API among members (by member count; ties to the smaller
   // enum value so the answer is deterministic).
   hooks::Fn dominant_api = hooks::Fn::kCount_;

@@ -27,15 +27,6 @@ bool group_order(const Group& a, const Group& b) {
   return a.nodes < b.nodes;
 }
 
-std::string leaf_description(const ExecutionGraph& g, const Node& n) {
-  std::string api = n.api != hooks::Fn::kCount_
-                        ? std::string(hooks::fn_name(n.api))
-                        : std::string("(unknown)");
-  const trace::Frame* leaf = g.leaf(n);
-  if (leaf == nullptr) return api;
-  return api + " in " + leaf->file + " at line " + std::to_string(leaf->line);
-}
-
 std::string folded_leaf_name(const ExecutionGraph& g, const Node& n) {
   const trace::Frame* leaf = g.leaf(n);
   if (leaf == nullptr) return "(no stack)";
@@ -54,6 +45,15 @@ void count_issues(const ExecutionGraph& g, Group& grp) {
 }
 
 }  // namespace
+
+std::string leaf_description(const ExecutionGraph& g, const Node& n) {
+  std::string api = n.api != hooks::Fn::kCount_
+                        ? std::string(hooks::fn_name(n.api))
+                        : std::string("(unknown)");
+  const trace::Frame* leaf = g.leaf(n);
+  if (leaf == nullptr) return api;
+  return api + " in " + leaf->file + " at line " + std::to_string(leaf->line);
+}
 
 json::Value Group::to_json() const {
   json::Object o;

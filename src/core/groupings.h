@@ -20,6 +20,7 @@
 //                    run needed (Figure 8).
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -55,6 +56,11 @@ struct Group {
   [[nodiscard]] std::size_t instance_count() const {
     return instances.empty() ? 1 : instances.size();
   }
+  // Every instance's members: `instances`, or `nodes` as the only one.
+  [[nodiscard]] std::span<const std::vector<std::size_t>> instance_sets()
+      const {
+    return instances.empty() ? std::span(&nodes, 1) : std::span(instances);
+  }
 
   // Folded-group expansion entries (Figure 7 right pane).
   struct FoldEntry {
@@ -69,6 +75,10 @@ struct Group {
 
   [[nodiscard]] json::Value to_json() const;
 };
+
+// A node's site: its API and the source location of its leaf frame,
+// e.g. "cudaFree in als.cpp at line 856" (the API alone without a stack).
+std::string leaf_description(const ExecutionGraph& g, const Node& n);
 
 // All three lenses over one analyzed graph. Group benefits are per-node
 // benefits from a single ExpectedBenefit pass over all problematic

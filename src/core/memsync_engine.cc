@@ -1,10 +1,26 @@
 #include "core/memsync_engine.h"
 
+#include <dlfcn.h>
+
 #include <algorithm>
 
 #include "support/error.h"
 
 namespace diog::ffm {
+
+namespace {
+
+// A code address as an offset into the loaded object that contains it,
+// 0 when none does. Load bases move with ASLR; the offset is the same
+// in every process (the "instruction within the binary" of §3).
+std::uint64_t module_offset(std::uintptr_t pc) {
+  Dl_info info{};
+  const bool found = dladdr(reinterpret_cast<const void*>(pc), &info) != 0 &&
+                     info.dli_fbase != nullptr;
+  return found ? pc - reinterpret_cast<std::uintptr_t>(info.dli_fbase) : 0;
+}
+
+}  // namespace
 
 using hooks::Fn;
 using hooks::HookContext;
@@ -136,7 +152,7 @@ void MemSyncEngine::drain_accesses() {
     if (attributed->required) continue;   // keep the FIRST use only
     attributed->required = true;
     attributed->access_stack = rec.stack();
-    attributed->access_ip = rec.instruction_pointer;
+    attributed->access_ip = module_offset(rec.instruction_pointer);
     attributed->first_use_time = rec.time - attributed->t_exit;
   }
   tracer_.clear_accesses();

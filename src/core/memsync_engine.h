@@ -46,7 +46,7 @@ class MemSyncEngine {
     TimePoint t_exit{0};
     bool required = false;
     trace::StackTrace access_stack;
-    std::uint64_t access_ip = 0;
+    std::uint64_t access_ip = 0;  // module offset, see SyncClassification
     Duration first_use_time{0};
   };
 

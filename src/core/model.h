@@ -91,7 +91,9 @@ struct SyncClassification {
   // True when an instruction was observed accessing data protected by
   // this synchronization — the sync is required for correctness.
   bool required = false;
-  // First-access provenance (meaningful when required).
+  // First-access provenance (meaningful when required). `access_ip` is
+  // the faulting instruction as an offset into the loaded object that
+  // contains it (0 when none does), so it is the same in every process.
   trace::StackTrace access_stack;
   std::uint64_t access_ip = 0;
 

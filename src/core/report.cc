@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "core/diagnosis.h"
 #include "core/run_convert.h"
 #include "eventstore/cursor.h"
 #include "eventstore/run_format.h"
@@ -19,37 +20,40 @@ std::string time_and_pct(const AnalysisResult& r, Duration d) {
          ")";
 }
 
-}  // namespace
-
-std::string render_overview(const AnalysisResult& r,
-                            std::size_t max_entries) {
-  // Merge folds and sequences into one benefit-sorted display.
-  struct Entry {
-    Duration benefit;
-    std::string line;
-  };
-  std::vector<Entry> entries;
-  for (const Group& g : r.folds) {
-    entries.push_back({g.benefit, g.title});
-  }
-  for (const Group& g : r.sequences) {
-    entries.push_back({g.benefit, g.title});
-  }
-  std::stable_sort(entries.begin(), entries.end(),
-                   [](const Entry& a, const Entry& b) {
-                     return a.benefit > b.benefit;
-                   });
+// The Figure-7 listing: the first `max_entries` findings, best first,
+// each with a "why:" line from its diagnosis when `explained`.
+std::string overview(const AnalysisResult& r, std::size_t max_entries,
+                     bool explained) {
+  std::vector<Finding> shown = collect_findings(r);
+  if (shown.size() > max_entries) shown.resize(max_entries);
+  const std::vector<Diagnosis> why =
+      explained ? diagnose(r, shown) : std::vector<Diagnosis>{};
 
   std::string out;
   out += "Diogenes Overview Display (" + r.workload_name + ")\n";
   out += "Time(s) (% of execution time)\n";
-  std::size_t shown = 0;
-  for (const Entry& e : entries) {
-    if (shown++ == max_entries) break;
-    out += pad_left(time_and_pct(r, e.benefit), 22) + "  " + e.line + "\n";
+  for (std::size_t k = 0; k < shown.size(); ++k) {
+    const Group& g = *shown[k].group;
+    out += pad_left(time_and_pct(r, g.benefit), 22) + "  " + g.title + "\n";
+    if (explained) {
+      out += std::string(24, ' ') + "why: [" + why[k].pattern + "] " +
+             why[k].headline + "\n";
+    }
   }
   out += "  Back/Previous\n  Exit\n";
   return out;
+}
+
+}  // namespace
+
+std::string render_overview(const AnalysisResult& r,
+                            std::size_t max_entries) {
+  return overview(r, max_entries, false);
+}
+
+std::string render_explained_overview(const AnalysisResult& r,
+                                      std::size_t max_entries) {
+  return overview(r, max_entries, true);
 }
 
 std::string render_fold_expansion(const AnalysisResult& r,

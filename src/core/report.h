@@ -12,9 +12,15 @@
 
 namespace diog::ffm {
 
-// Figure 7 left pane: entries (folds + sequences) sorted by benefit.
+// Figure 7 left pane: entries (folds + sequences) sorted by benefit, in
+// collect_findings order.
 std::string render_overview(const AnalysisResult& r,
                             std::size_t max_entries = 8);
+
+// The same entries with a "why:" line under each from its diagnosis —
+// what the CLI's `overview` and `trace analyze` commands print.
+std::string render_explained_overview(const AnalysisResult& r,
+                                      std::size_t max_entries = 8);
 
 // Figure 7 right pane: expansion of one fold into template-folded
 // functions with "Conditionally unnecessary" annotations.

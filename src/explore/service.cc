@@ -8,6 +8,7 @@
 
 #include "archive/archive.h"
 #include "archive/regress.h"
+#include "core/diagnosis.h"
 #include "core/diogenes.h"
 #include "eventstore/aggregate.h"
 #include "eventstore/cursor.h"
@@ -71,7 +72,7 @@ struct Service::CachedRun {
   std::string analysis_error;
   ffm::AnalysisResult analysis;
   std::vector<ffm::Finding> findings;
-  std::vector<Explanation> explanations;
+  std::vector<ffm::Diagnosis> diagnoses;
 };
 
 Service::Service(ServiceOptions opts) : opts_(std::move(opts)) {}
@@ -376,7 +377,7 @@ HttpResponse Service::api_findings(const HttpRequest& req) {
     try {
       c->analysis = ffm::run_analysis(c->run, opts_.config);
       c->findings = ffm::collect_findings(c->analysis);
-      c->explanations = explain_all(c->analysis, c->findings);
+      c->diagnoses = ffm::diagnose(c->analysis, c->findings);
       c->analysis_error.clear();
     } catch (const Error& e) {
       c->analysis_error = e.what();
@@ -402,7 +403,7 @@ HttpResponse Service::api_findings(const HttpRequest& req) {
     o["transfer_issues"] = f.group->transfer_issues;
     o["member_time_ns"] = f.member_time.count();
     o["recoverable_fraction"] = f.recoverable_fraction();
-    o["explanation"] = c->explanations[i].to_json();
+    o["explanation"] = c->diagnoses[i].to_json();
     findings.push_back(std::move(o));
   }
 

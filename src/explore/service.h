@@ -27,7 +27,6 @@
 
 #include "core/findings.h"
 #include "core/tool_config.h"
-#include "explore/explain.h"
 #include "explore/http.h"
 
 namespace diog::explore {

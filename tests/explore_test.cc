@@ -2,8 +2,7 @@
 // (idle and slow-drip peers, malformed and non-GET requests), the LoD
 // aggregation layer's determinism contract, the Service error model over
 // empty and torn runs, the viewport byte budget at a million events, the
-// filtered dump's predicate pushdown, and the explanation engine's
-// totality.
+// filtered dump's predicate pushdown, and the diagnosis's totality.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -17,13 +16,13 @@
 #include <vector>
 
 #include "archive/archive.h"
+#include "core/diagnosis.h"
 #include "core/diogenes.h"
 #include "core/findings.h"
 #include "core/report.h"
 #include "eventstore/aggregate.h"
 #include "eventstore/live_writer.h"
 #include "eventstore/run_io.h"
-#include "explore/explain.h"
 #include "explore/http.h"
 #include "explore/service.h"
 #include "json/json.h"
@@ -693,15 +692,15 @@ TEST_F(ExploreTest, EveryFindingGetsANonEmptyExplanation) {
   const ffm::AnalysisResult a = ffm::run_analysis(run, {});
   const std::vector<ffm::Finding> fs = ffm::collect_findings(a);
   ASSERT_FALSE(fs.empty()) << "the synthetic run must produce findings";
-  const std::vector<explore::Explanation> ex = explore::explain_all(a, fs);
+  const std::vector<ffm::Diagnosis> ex = ffm::diagnose(a, fs);
   ASSERT_EQ(ex.size(), fs.size());
-  for (const explore::Explanation& e : ex) {
+  for (const ffm::Diagnosis& e : ex) {
     EXPECT_FALSE(e.pattern.empty());
     EXPECT_FALSE(e.headline.empty());
     EXPECT_FALSE(e.narrative.empty());
     EXPECT_NO_THROW((void)json::parse(e.to_json().dump()));
   }
-  const std::string overview = explore::render_explained_overview(a);
+  const std::string overview = ffm::render_explained_overview(a);
   EXPECT_NE(overview.find("why:"), std::string::npos);
 }
 
