@@ -65,25 +65,6 @@ class Column {
            kSegmentRows * sizeof(T);
   }
 
-  // Bulk append used by the run reader: copies `n` values from `src`
-  // segment-wise (memcpy, not per-row push).
-  void append_bulk(const T* src, std::uint64_t n) {
-    std::uint64_t done = 0;
-    while (done < n) {
-      const std::size_t slot = size_ % kSegmentRows;
-      if (slot == 0) {
-        segments_.push_back(spare_ ? std::move(spare_)
-                                   : std::make_unique<T[]>(kSegmentRows));
-      }
-      const std::uint64_t room = kSegmentRows - slot;
-      const std::uint64_t take = n - done < room ? n - done : room;
-      std::memcpy(segments_.back().get() + slot, src + done,
-                  static_cast<std::size_t>(take) * sizeof(T));
-      size_ += take;
-      done += take;
-    }
-  }
-
   // Grows the column to `new_size` rows, allocating segments up front.
   // Serial (single caller); pairs with write_rows for the run reader's
   // parallel decode: once the segments exist, disjoint row ranges may

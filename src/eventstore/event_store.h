@@ -291,37 +291,17 @@ class EventStore {
 // public surface so normal producers go through append().
 struct EventStore::BulkLoader {
   EventStore& store;
-  void load(const std::uint8_t* kind, const std::uint16_t* api,
-            const std::uint32_t* flags, const std::uint32_t* stream,
-            const std::uint32_t* stack, const std::uint32_t* aux_stack,
-            const std::uint32_t* name, const std::uint64_t* op_index,
-            const std::int64_t* t_start, const std::int64_t* t_end,
-            const std::int64_t* aux_time, const std::int64_t* gpu_time,
-            const std::uint64_t* bytes, const std::uint64_t* value,
-            const std::uint64_t* link, std::uint64_t n);
-
-  // Parallel decode path: reserve() grows every column by `extra` rows
-  // in one serial step, then load_at() fills disjoint row ranges — safe
-  // to call from different threads concurrently because it only
-  // memcpy's into the reserved segments.
+  // reserve() grows every column by `extra` rows in one serial step;
+  // load_column_at() then fills disjoint row ranges, which is safe from
+  // different threads concurrently because it only memcpy's into the
+  // reserved segments.
   void reserve(std::uint64_t extra);
-  void load_at(std::uint64_t row, const std::uint8_t* kind,
-               const std::uint16_t* api, const std::uint32_t* flags,
-               const std::uint32_t* stream, const std::uint32_t* stack,
-               const std::uint32_t* aux_stack, const std::uint32_t* name,
-               const std::uint64_t* op_index, const std::int64_t* t_start,
-               const std::int64_t* t_end, const std::int64_t* aux_time,
-               const std::int64_t* gpu_time, const std::uint64_t* bytes,
-               const std::uint64_t* value, const std::uint64_t* link,
-               std::uint64_t n);
 
-  // Column-at-a-time variant of load_at for the v3 decode path, where
-  // each column of a chunk decodes into one small scratch buffer before
-  // landing in the store. `c` is the format column index (run_format.h
-  // order) and `src` holds n values at the column's natural width.
-  // Same concurrency contract as load_at (disjoint row ranges only);
-  // the segment_alloc fault fires on column 0 so a chunk still trips an
-  // armed plan exactly once.
+  // Loads one column of a chunk, decoded into a scratch buffer at the
+  // column's natural width: `c` is the format column index (run_format.h
+  // order) and `src` holds n values. The segment_alloc fault fires on
+  // column 0, so a chunk trips an armed plan exactly once, on the
+  // thread that would have owned the allocation.
   void load_column_at(std::size_t c, std::uint64_t row, const void* src,
                       std::uint64_t n);
 };

@@ -46,7 +46,10 @@
 // mismatches, or malformed payloads — but an incomplete tail is not an
 // error: open_run returns the readable prefix and reports it through
 // RunFileInfo. The reader either mmaps the file (default on POSIX) or
-// streams it through a buffer; both paths share one parser.
+// streams it through a buffer. Every reader (open_run, RunFollower, the
+// hub's StreamParser) decodes frames with read_frame and chunk payloads
+// with one parser; they differ only in policy: a file stops at its
+// readable prefix, a stream throws.
 #pragma once
 
 #include <cstdint>
@@ -165,16 +168,54 @@ class RunFollower {
   RunFileInfo info_;
 };
 
-// Frame-at-a-time validator for a run byte stream arriving over a
-// transport that is not a seekable file (the trace hub's TCP wire).
-// The caller frames the stream — 16-byte header, CHNK envelopes, the
-// 48-byte FOOT record — and hands over each frame only once it is
-// complete; the parser runs the same validation as open_run (header
-// magic+version, chunk checksum, dictionary chaining, overlap/gap
-// accounting, footer agreement), so a byte sequence is accepted here
-// exactly when open_run would accept the same bytes as a file. Every
-// method throws diog::Error on a violation; the object must not be
-// fed again after a throw.
+// The footer record's fields (layout above).
+struct FooterRecord {
+  bool finalized = false;
+  std::uint64_t events = 0;
+  std::uint64_t chunks = 0;
+  std::int64_t wall_ms = 0;
+};
+
+// One frame of a run byte stream past its header: a chunk envelope or
+// the footer. This is the only decoder of the framing; open_run,
+// RunFollower and StreamParser differ only in what they do with it.
+struct Frame {
+  enum class Kind {
+    kNeedMore,   // the bytes end inside the frame
+    kChunk,      // a complete chunk envelope (checksum not yet verified)
+    kFooter,     // a complete footer whose checksum and end magic hold
+    kMalformed,  // see `corrupt` and `reason`
+  };
+  Kind kind = Kind::kNeedMore;
+  // Bytes the whole frame occupies, known once a chunk's 12-byte prefix
+  // (magic, payload length) or a footer's magic is in; 0 before.
+  std::uint64_t size = 0;
+  const unsigned char* payload = nullptr;  // kChunk
+  std::size_t payload_len = 0;             // kChunk; checksum excluded
+  FooterRecord footer;                     // kFooter
+  // kMalformed. A `corrupt` frame is a complete chunk no writer can
+  // emit, an error wherever it appears, and `reason` is the full error
+  // text. Otherwise the bytes are what a torn or in-progress file tail
+  // holds (stale magic, an implausible length, a torn footer): the end
+  // of a file's readable prefix, but a violation on a stream.
+  bool corrupt = false;
+  std::string reason;
+};
+
+// Decodes the frame at `data`, which must sit on a frame boundary past
+// the header. `chunk_index` numbers a chunk frame in error texts.
+Frame read_frame(const unsigned char* data, std::size_t n,
+                 std::uint64_t chunk_index);
+
+// Validator for a run byte stream arriving over a transport that is not
+// a seekable file (the trace hub's TCP wire). It applies the stream
+// policy to read_frame: every malformed frame is an error, and the
+// stream ends at its footer. Otherwise it runs the same validation as
+// open_run (header magic+version, chunk checksum, dictionary chaining,
+// overlap/gap accounting, footer agreement), so a byte sequence is
+// accepted here exactly when open_run would accept the same bytes as a
+// file. Every method throws diog::Error on a violation; the object
+// must not be fed again after a throw.
 class StreamParser {
  public:
   StreamParser();
@@ -182,26 +223,23 @@ class StreamParser {
   StreamParser(const StreamParser&) = delete;
   StreamParser& operator=(const StreamParser&) = delete;
 
-  // Exactly the 16 header bytes.
-  void apply_header(const unsigned char* data, std::size_t n);
-  // One complete chunk frame: 12-byte envelope + payload + 8-byte
-  // trailing checksum.
-  void apply_chunk_frame(const unsigned char* frame, std::size_t n);
-  // The complete 48-byte footer record. A file tail may legitimately
-  // hold a torn footer, but a *complete* footer frame on a stream with
-  // a bad checksum is corruption, so it is an error here.
-  void apply_footer(const unsigned char* frame, std::size_t n);
+  // Validates the frame at the front of `data`: the 16-byte header
+  // first, then chunk envelopes and the footer. Returns the frame's
+  // length once it is complete and valid, 0 while it is incomplete.
+  // `budget` bounds the size any one frame may announce; a larger one
+  // is refused from its 12-byte prefix, before the payload is buffered.
+  // Any byte after the footer is an error.
+  std::size_t accept(const unsigned char* data, std::size_t n,
+                     std::size_t budget);
 
-  [[nodiscard]] const TraceRun& run() const;
   [[nodiscard]] bool header_seen() const { return header_seen_; }
-  // A valid footer was applied (the stream is a clean prefix).
+  // A valid footer was accepted (the stream is a clean prefix).
   [[nodiscard]] bool clean() const { return clean_; }
   // The footer carried the finalized flag (nothing more will arrive).
   [[nodiscard]] bool finalized() const { return finalized_; }
   [[nodiscard]] std::uint64_t chunks() const;
   [[nodiscard]] std::uint64_t events() const;
   [[nodiscard]] std::uint64_t dropped() const;
-  [[nodiscard]] std::int64_t footer_wall_ms() const { return wall_ms_; }
 
  private:
   struct Impl;
@@ -209,7 +247,6 @@ class StreamParser {
   bool header_seen_ = false;
   bool clean_ = false;
   bool finalized_ = false;
-  std::int64_t wall_ms_ = 0;
 };
 
 }  // namespace diog::evstore

@@ -2,15 +2,12 @@
 
 #include <cstring>
 
-#include "eventstore/run_format.h"
 #include "json/json.h"
 #include "support/error.h"
 
 namespace diog::hub {
 
 namespace {
-
-namespace fmt = evstore::format;
 
 void put_u32(std::string& out, std::uint32_t v) {
   char b[4];
@@ -82,42 +79,6 @@ bool parse_hello(const unsigned char* data, std::size_t n,
   *workload = v.at("workload").as_string();
   *consumed = 8 + static_cast<std::size_t>(len);
   return true;
-}
-
-FrameKind peek_frame(const unsigned char* data, std::size_t n,
-                     std::size_t budget, std::size_t* frame_len) {
-  if (n < 4) return FrameKind::kNeedMore;
-  std::uint32_t magic;
-  std::memcpy(&magic, data, 4);
-  if (magic == fmt::kFooterMagic) {
-    if (n < fmt::kFooterBytes) return FrameKind::kNeedMore;
-    *frame_len = fmt::kFooterBytes;
-    return FrameKind::kFooter;
-  }
-  if (magic != fmt::kChunkMagic) {
-    throw Error("hub protocol: unexpected frame magic on run stream");
-  }
-  if (n < 12) return FrameKind::kNeedMore;
-  std::uint64_t len;
-  std::memcpy(&len, data + 4, 8);
-  // On a file an implausible length is a torn tail; on a stream every
-  // announced length was put there by the peer, so it is a protocol
-  // error — and the budget check is the backpressure rule: the session
-  // never buffers a frame it is not willing to hold in memory.
-  if (len > (1ull << 40)) {
-    throw Error("hub protocol: implausible chunk length " +
-                std::to_string(len));
-  }
-  if (fmt::kChunkEnvelopeBytes + len > budget) {
-    throw Error("hub protocol: chunk of " + std::to_string(len) +
-                " bytes exceeds the session receive budget (" +
-                std::to_string(budget) + ")");
-  }
-  const std::size_t total =
-      fmt::kChunkEnvelopeBytes + static_cast<std::size_t>(len);
-  if (n < total) return FrameKind::kNeedMore;
-  *frame_len = total;
-  return FrameKind::kChunk;
 }
 
 std::string encode_response(const HubResponse& r) {

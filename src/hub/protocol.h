@@ -2,7 +2,7 @@
 // diogenes.hub.v1.
 //
 // The deliberate design decision is that there is almost no protocol:
-// after a tiny hello frame, the client sends a v2 .dgtrace byte stream
+// after a tiny hello frame, the client sends a .dgtrace byte stream
 // — the exact bytes save_run or a LiveRunWriter would put in a file —
 // and the server spools the validated frames verbatim. The wire format
 // IS the file format, so a completed stream is a valid run file, a torn
@@ -19,8 +19,9 @@
 //
 // Frames are delimited by the run format itself (length-prefixed chunk
 // envelopes, fixed-size header/footer records), so the hub needs no
-// extra framing layer and the backpressure rule is simple: never buffer
-// more than one announced frame (bounded by the session receive
+// extra framing layer: evstore::StreamParser reads them with the run
+// reader's own frame decoder. The backpressure rule is simple: never
+// buffer more than one announced frame (bounded by the session receive
 // budget); stop reading until it validates.
 #pragma once
 
@@ -49,21 +50,6 @@ std::string encode_hello(const std::string& workload);
 // unusable workload name).
 bool parse_hello(const unsigned char* data, std::size_t n,
                  std::size_t* consumed, std::string* workload);
-
-// What the next complete run-format frame at `data` is. `data` must sit
-// on a frame boundary (past the 16-byte header).
-enum class FrameKind {
-  kNeedMore,  // no complete frame yet
-  kChunk,     // a complete CHNK envelope (incl. trailing checksum)
-  kFooter,    // the complete 48-byte FOOT record
-};
-
-// Peeks the frame at `data`. Fills *frame_len when a complete frame is
-// available. `budget` bounds the total frame size a peer may announce
-// (the backpressure rule); throws diog::Error on unknown magic or an
-// oversized / implausible announced length.
-FrameKind peek_frame(const unsigned char* data, std::size_t n,
-                     std::size_t budget, std::size_t* frame_len);
 
 // The server's one-line JSON reply (newline-terminated on the wire).
 struct HubResponse {

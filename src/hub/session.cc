@@ -5,19 +5,12 @@
 #include <algorithm>
 #include <filesystem>
 
-#include "eventstore/run_format.h"
 #include "hub/protocol.h"
 #include "obs/telemetry.h"
 #include "support/error.h"
 #include "testkit/fault_plan.h"
 
 namespace diog::hub {
-
-namespace {
-
-namespace fmt = evstore::format;
-
-}  // namespace
 
 Session::Session(SessionOptions opts) : opts_(std::move(opts)) {
   DIOG_CHECK(!opts_.spool_path.empty(), "hub session: no spool path");
@@ -36,7 +29,7 @@ Session::~Session() {
 }
 
 bool Session::finalized() const {
-  return state_ == State::kDone && parser_.finalized();
+  return state_ == State::kRun && parser_.finalized();
 }
 
 void Session::feed(const unsigned char* data, std::size_t n) {
@@ -74,87 +67,55 @@ void Session::feed_frames() {
   for (;;) {
     const unsigned char* p = pending_.data() + pending_off_;
     const std::size_t avail = pending_.size() - pending_off_;
-    switch (state_) {
-      case State::kHello: {
-        std::size_t consumed = 0;
-        if (!parse_hello(p, avail, &consumed, &workload_)) return;
-        pending_off_ += consumed;
-        state_ = State::kHeader;
-        break;
-      }
-      case State::kHeader: {
-        if (avail < fmt::kHeaderBytes) return;
-        parser_.apply_header(p, fmt::kHeaderBytes);
-        spool_append(p, fmt::kHeaderBytes);
-        pending_off_ += fmt::kHeaderBytes;
-        state_ = State::kBody;
-        break;
-      }
-      case State::kBody: {
-        std::size_t frame_len = 0;
-        const FrameKind kind =
-            peek_frame(p, avail, opts_.max_pending_bytes, &frame_len);
-        if (kind == FrameKind::kNeedMore) return;
-        if (kind == FrameKind::kChunk) {
-          parser_.apply_chunk_frame(p, frame_len);
-        } else {
-          parser_.apply_footer(p, frame_len);
-          state_ = State::kDone;
-        }
-        spool_append(p, frame_len);
-        pending_off_ += frame_len;
-        if (obs::Telemetry::enabled()) {
-          auto& m = obs::Telemetry::global().metrics();
-          m.counter("hub.chunks").inc(parser_.chunks() - stats_.chunks);
-          m.counter("hub.events").inc(parser_.events() - stats_.events);
-          m.counter("hub.dropped").inc(parser_.dropped() - stats_.dropped);
-        }
-        stats_.chunks = parser_.chunks();
-        stats_.events = parser_.events();
-        stats_.dropped = parser_.dropped();
-        break;
-      }
-      case State::kDone: {
-        if (avail > 0) {
-          throw Error("hub session: bytes after the final footer");
-        }
-        return;
-      }
-      case State::kFailed:
-        return;  // unreachable: feed() refuses this state
+    if (state_ == State::kHello) {
+      std::size_t consumed = 0;
+      if (!parse_hello(p, avail, &consumed, &workload_)) return;
+      pending_off_ += consumed;
+      state_ = State::kRun;
+      continue;
     }
+    const std::size_t frame_len =
+        parser_.accept(p, avail, opts_.max_pending_bytes);
+    if (frame_len == 0) return;
+    spool_append(p, frame_len);
+    pending_off_ += frame_len;
+    if (obs::Telemetry::enabled()) {
+      auto& m = obs::Telemetry::global().metrics();
+      m.counter("hub.chunks").inc(parser_.chunks() - stats_.chunks);
+      m.counter("hub.events").inc(parser_.events() - stats_.events);
+      m.counter("hub.dropped").inc(parser_.dropped() - stats_.dropped);
+    }
+    stats_.chunks = parser_.chunks();
+    stats_.events = parser_.events();
+    stats_.dropped = parser_.dropped();
   }
 }
 
 void Session::end_of_stream() {
   DIOG_CHECK(state_ != State::kFailed,
              "hub session: end_of_stream after a protocol error");
-  switch (state_) {
-    case State::kHello:
-      state_ = State::kFailed;
-      throw Error("hub session: stream ended before the hello");
-    case State::kHeader:
-      state_ = State::kFailed;
-      throw Error("hub session: stream ended before the run header");
-    case State::kBody:
-      // The torn-connection case: flush what validated, then classify.
-      // The spool stays behind as the readable checkpointed prefix.
-      spool_close();
-      state_ = State::kFailed;
-      if (obs::Telemetry::enabled()) {
-        obs::Telemetry::global().metrics().counter("hub.torn").inc();
-      }
-      throw Error("hub session: stream torn before a footer (spool keeps " +
-                  std::to_string(stats_.chunks) + " validated chunks)");
-    case State::kDone:
-      spool_close();
-      if (!parser_.finalized()) {
-        state_ = State::kFailed;
-        throw Error("hub session: stream ended without a finalized footer");
-      }
-      return;
-    case State::kFailed:
-      return;  // unreachable
+  if (state_ == State::kHello) {
+    state_ = State::kFailed;
+    throw Error("hub session: stream ended before the hello");
+  }
+  if (!parser_.header_seen()) {
+    state_ = State::kFailed;
+    throw Error("hub session: stream ended before the run header");
+  }
+  spool_close();
+  if (!parser_.clean()) {
+    // The torn-connection case: the spool stays behind as the readable
+    // checkpointed prefix.
+    state_ = State::kFailed;
+    if (obs::Telemetry::enabled()) {
+      obs::Telemetry::global().metrics().counter("hub.torn").inc();
+    }
+    throw Error("hub session: stream torn before a footer (spool keeps " +
+                std::to_string(stats_.chunks) + " validated chunks)");
+  }
+  if (!parser_.finalized()) {
+    state_ = State::kFailed;
+    throw Error("hub session: stream ended without a finalized footer");
   }
 }
 

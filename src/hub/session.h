@@ -1,19 +1,22 @@
-// One client's ingest session: hello -> header -> chunks -> footer.
+// One client's ingest session: hello, then the run stream (header ->
+// chunks -> footer).
 //
 // A Session consumes raw wire bytes and applies the validate-then-spool
-// discipline: frames are reassembled in a bounded pending buffer,
-// validated with the same parser open_run uses (StreamParser), and only
-// then appended to the per-session spool file — so the spool contains
-// nothing but validated complete frames and is, at every instant, a
-// readable run-file prefix. A torn connection therefore leaves exactly
-// what a SIGKILL'd LiveRunWriter leaves, and open_run classifies both
+// discipline. It parses the hello itself and hands every later byte to
+// an evstore::StreamParser, which decodes frames with the same decoder
+// and chunk parser open_run uses and accepts a frame only once it is
+// complete and valid. The Session appends exactly the accepted bytes to
+// the per-session spool file, so the spool contains nothing but
+// validated complete frames and is, at every instant, a readable
+// run-file prefix. A torn connection therefore leaves exactly what a
+// SIGKILL'd LiveRunWriter leaves, and open_run classifies both
 // identically.
 //
 // Backpressure: the pending buffer never holds more than one announced
-// frame (protocol.h peek_frame enforces the receive budget), and the
-// server reads the socket only between feed() calls — a peer that
-// announces an oversized frame gets a classified error, never unbounded
-// memory.
+// frame (the parser refuses any frame beyond the receive budget from its
+// 12-byte prefix), and the server reads the socket only between feed()
+// calls. A peer that announces an oversized frame gets a classified
+// error, never unbounded memory.
 //
 // Fault sites (testkit/fault_plan.h): "hub.spool.write" (supports
 // kShortWrite: a torn spool write), "hub.spool.fsync". The socket-side
@@ -81,7 +84,8 @@ class Session {
   }
 
  private:
-  enum class State { kHello, kHeader, kBody, kDone, kFailed };
+  // After the hello, the parser tracks the run stream's progress.
+  enum class State { kHello, kRun, kFailed };
 
   void feed_frames();
   void spool_append(const unsigned char* data, std::size_t n);

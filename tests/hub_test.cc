@@ -175,37 +175,70 @@ TEST_F(HubTest, WorkloadNamesAreFilenameSafe) {
   EXPECT_THROW(encode_hello("a/b"), Error);
 }
 
-TEST_F(HubTest, PeekFrameClassifiesChunkAndFooter) {
+TEST_F(HubTest, FrameDecoderClassifiesChunkAndFooter) {
+  using Kind = evstore::Frame::Kind;
   const testkit::Bytes chunk = testkit::make_chunk(testkit::ChunkParams{});
-  std::size_t frame_len = 0;
-  // Every strict prefix: need more.
+  // Every strict prefix: need more, with the announced size once the
+  // 12-byte prefix is in.
   for (std::size_t n = 0; n < chunk.size(); ++n) {
-    EXPECT_EQ(peek_frame(chunk.data(), n, 1u << 20, &frame_len),
-              FrameKind::kNeedMore);
+    const evstore::Frame f = evstore::read_frame(chunk.data(), n, 0);
+    EXPECT_EQ(f.kind, Kind::kNeedMore);
+    EXPECT_EQ(f.size, n < 12 ? 0u : chunk.size());
   }
-  EXPECT_EQ(peek_frame(chunk.data(), chunk.size(), 1u << 20, &frame_len),
-            FrameKind::kChunk);
-  EXPECT_EQ(frame_len, chunk.size());
+  const evstore::Frame c = evstore::read_frame(chunk.data(), chunk.size(), 0);
+  EXPECT_EQ(c.kind, Kind::kChunk);
+  EXPECT_EQ(c.size, chunk.size());
+  EXPECT_EQ(c.payload, chunk.data() + 12);
+  EXPECT_EQ(c.payload_len, chunk.size() - fmt::kChunkEnvelopeBytes);
 
-  const testkit::Bytes footer = testkit::make_footer(true, 0, 1);
+  const testkit::Bytes footer = testkit::make_footer(true, 0, 1, 77);
   ASSERT_EQ(footer.size(), fmt::kFooterBytes);
-  EXPECT_EQ(peek_frame(footer.data(), footer.size() - 1, 1u << 20, &frame_len),
-            FrameKind::kNeedMore);
-  EXPECT_EQ(peek_frame(footer.data(), footer.size(), 1u << 20, &frame_len),
-            FrameKind::kFooter);
-  EXPECT_EQ(frame_len, static_cast<std::size_t>(fmt::kFooterBytes));
+  EXPECT_EQ(evstore::read_frame(footer.data(), footer.size() - 1, 0).kind,
+            Kind::kNeedMore);
+  const evstore::Frame f =
+      evstore::read_frame(footer.data(), footer.size(), 0);
+  EXPECT_EQ(f.kind, Kind::kFooter);
+  EXPECT_EQ(f.size, static_cast<std::uint64_t>(fmt::kFooterBytes));
+  EXPECT_TRUE(f.footer.finalized);
+  EXPECT_EQ(f.footer.events, 0u);
+  EXPECT_EQ(f.footer.chunks, 1u);
+  EXPECT_EQ(f.footer.wall_ms, 77);
 }
 
-TEST_F(HubTest, PeekFrameRejectsUnknownMagicAndOversizedFrames) {
+TEST_F(HubTest, FrameDecoderRejectsUnknownMagicAndOversizedFrames) {
+  using Kind = evstore::Frame::Kind;
   const unsigned char junk[12] = {'J', 'U', 'N', 'K', 0, 0, 0, 0, 0, 0, 0, 0};
-  std::size_t frame_len = 0;
-  EXPECT_THROW(peek_frame(junk, sizeof junk, 1u << 20, &frame_len), Error);
+  const evstore::Frame bad = evstore::read_frame(junk, sizeof junk, 0);
+  EXPECT_EQ(bad.kind, Kind::kMalformed);
+  EXPECT_FALSE(bad.corrupt);  // a file tail may hold stale bytes
+
+  unsigned char huge[12];
+  std::memcpy(huge, &fmt::kChunkMagic, 4);
+  const std::uint64_t len = 1ull << 41;
+  std::memcpy(huge + 4, &len, 8);
+  const evstore::Frame implausible = evstore::read_frame(huge, sizeof huge, 0);
+  EXPECT_EQ(implausible.kind, Kind::kMalformed);
+  EXPECT_NE(implausible.reason.find("implausible chunk length"),
+            std::string::npos)
+      << implausible.reason;
+
+  // On a stream both are violations.
+  const testkit::Bytes header = testkit::make_header();
+  for (const unsigned char* frame : {junk, static_cast<const unsigned char*>(huge)}) {
+    evstore::StreamParser parser;
+    ASSERT_EQ(parser.accept(header.data(), header.size(), 1u << 20),
+              fmt::kHeaderBytes);
+    EXPECT_THROW(parser.accept(frame, 12, 1u << 20), Error);
+  }
 
   // The backpressure rule: an announced frame beyond the receive budget
   // is refused from its 12-byte prefix, before any payload is buffered.
   const testkit::Bytes chunk = testkit::make_chunk(testkit::ChunkParams{});
+  evstore::StreamParser parser;
+  ASSERT_EQ(parser.accept(header.data(), header.size(), 32),
+            fmt::kHeaderBytes);
   try {
-    peek_frame(chunk.data(), chunk.size(), /*budget=*/32, &frame_len);
+    parser.accept(chunk.data(), 12, /*budget=*/32);
     FAIL() << "oversized frame accepted";
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("receive budget"), std::string::npos)
