@@ -6,6 +6,7 @@
 
 #include "eventstore/run_format.h"
 #include "eventstore/schema.h"
+#include "hooks/fn.h"
 #include "support/error.h"
 
 namespace diog::testkit {
@@ -204,6 +205,12 @@ Bytes make_coded_chunk(const CodedChunkParams& params) {
     for (std::size_t r = 0; r < n; ++r) {
       if (c == 0) {
         vals[r] = r % 3;
+      } else if (c == 1) {
+        // api ids stay within hooks::Fn unless the test wants them past
+        // it (kUnknownApi keeps the ids the builder used to write).
+        vals[r] = (7 * r + c) % (params.corruption == Corruption::kUnknownApi
+                                     ? 100
+                                     : hooks::kFnCount);
       } else if (c == 4 || c == 5 || c == 6) {
         vals[r] = 0;
       } else if (codec == fmt::kCodecDelta) {
@@ -227,6 +234,7 @@ Bytes make_coded_chunk(const CodedChunkParams& params) {
     if (c == params.corrupt_column) {
       switch (params.corruption) {
         case Corruption::kNone:
+        case Corruption::kUnknownApi:
           break;
         case Corruption::kBadCodec:
           codec = fmt::kCodecCount + 6;

@@ -81,6 +81,7 @@ struct CodedChunkParams {
     kBadCodec,         // column codec byte set past kCodecCount
     kTruncatedDelta,   // bitpacked delta body cut short, enc_len updated
     kVarintOverrun,    // varint continuation bits run past enc_len
+    kUnknownApi,       // api ids up to 99, past hooks::Fn::kCount_
   };
   Corruption corruption = Corruption::kNone;
   std::uint8_t corrupt_column = 8;  // tag to corrupt (8 = t_start, delta)

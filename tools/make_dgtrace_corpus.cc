@@ -199,6 +199,17 @@ int main(int argc, char** argv) {
     write(reg, "varint_overrun.dgtrace", b);
   }
   {
+    // A clean coded chunk whose api ids run past hooks::Fn::kCount_: the
+    // store would hold events no API name describes.
+    Bytes b = make_header();
+    CodedChunkParams c;
+    c.event_count = 300;
+    c.corruption = CodedChunkParams::Corruption::kUnknownApi;
+    append(b, make_coded_chunk(c));
+    append(b, make_footer(/*final=*/true, 300, 1));
+    write(reg, "unknown_api.dgtrace", b);
+  }
+  {
     // The hub torn-stream matrix (ISSUE 9 satellite 4): one two-chunk
     // run cut at the three places a connection can die — mid-chunk,
     // on a chunk boundary, and mid-footer. Each must classify exactly
