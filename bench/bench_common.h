@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "apps/apps.h"
+#include "core/compare.h"
 #include "core/diogenes.h"
 #include "core/report.h"
 #include "support/strings.h"
@@ -31,28 +32,6 @@ inline void print_header(const std::string& title,
 inline std::string cell(const ffm::AnalysisResult& r, Duration d) {
   return format_seconds(d) + " (" + format_percent(r.fraction_of_exec(d)) +
          ")";
-}
-
-// The estimate for the problems a given fix addresses: the subset of
-// problematic graph nodes selected by `pick`, evaluated with one subset
-// pass (the way the paper scopes Table 1's "Diogenes Estimated Benefit"
-// to the issues actually corrected).
-template <typename Pick>
-Duration estimate_for_fix(const ffm::AnalysisResult& r, Pick&& pick) {
-  std::vector<std::size_t> nodes;
-  for (std::size_t i = 0; i < r.graph.size(); ++i) {
-    const ffm::Node& n = r.graph.nodes()[i];
-    if (n.is_problematic() && pick(n)) nodes.push_back(i);
-  }
-  return ffm::expected_benefit_subset(r.graph, nodes).total;
-}
-
-// Accuracy as the paper reports it: min/max of (estimated, actual).
-inline double accuracy(Duration estimated, Duration actual) {
-  const double a = static_cast<double>(estimated.count());
-  const double b = static_cast<double>(actual.count());
-  if (a <= 0.0 || b <= 0.0) return 0.0;
-  return a < b ? a / b : b / a;
 }
 
 }  // namespace diog::bench

@@ -45,7 +45,9 @@ int main() {
   std::printf("\nestimate vs actual: %s vs %s (%.0f%% accuracy)\n",
               format_seconds(a.estimated_benefit).c_str(),
               format_seconds(native - fixed_time).c_str(),
-              accuracy(a.estimated_benefit, native - fixed_time) * 100.0);
+              ffm::estimate_accuracy(a.estimated_benefit,
+                                     native - fixed_time) *
+                  100.0);
 
   // And confirmation that the fix eliminates the thrash.
   const ffm::UvmAnalysis af = ffm::analyze_unified_memory(fixed);

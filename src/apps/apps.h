@@ -14,6 +14,7 @@
 
 #include <cstddef>
 
+#include "core/compare.h"
 #include "core/workload.h"
 
 namespace diog::apps {
@@ -137,6 +138,9 @@ struct AppPair {
   std::string name;
   Workload pathological;
   Workload fixed;
+  // The problems the paper's fix corrects: Table 1 scopes each app's
+  // estimate to these nodes of the pathological run.
+  ffm::FixScope fix_scope;
 };
 std::vector<AppPair> all_apps();
 

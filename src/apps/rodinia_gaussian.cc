@@ -94,12 +94,28 @@ Workload make_rodinia_gaussian(const RodiniaGaussianConfig& cfg, bool fixed) {
 }
 
 std::vector<AppPair> all_apps() {
+  using ffm::Node;
+  using hooks::Fn;
   std::vector<AppPair> out;
-  out.push_back({"cumf_als", make_cumf_als(), make_cumf_als({}, true)});
-  out.push_back({"cuIBM", make_cuibm(), make_cuibm({}, true)});
-  out.push_back({"AMG", make_amg(), make_amg({}, true)});
+  // The fix removed the per-iteration frees (and their hidden syncs) and
+  // the duplicate tile uploads.
+  out.push_back({"cumf_als", make_cumf_als(), make_cumf_als({}, true),
+                 [](const Node& n) {
+                   return n.api == Fn::kCudaFree ||
+                          n.problem == ffm::ProblemType::kUnnecessaryTransfer;
+                 }});
+  // The fix pooled the Thrust-style temporaries, eliminating the per-call
+  // cudaFree syncs (plus, as a side effect, the alloc churn).
+  out.push_back({"cuIBM", make_cuibm(), make_cuibm({}, true),
+                 [](const Node& n) { return n.api == Fn::kCudaFree; }});
+  // The fix replaced cudaMemset-on-managed with a host memset.
+  out.push_back({"AMG", make_amg(), make_amg({}, true),
+                 [](const Node& n) { return n.api == Fn::kCudaMemset; }});
+  // The fix commented out cudaThreadSynchronize.
   out.push_back({"Rodinia", make_rodinia_gaussian(),
-                 make_rodinia_gaussian({}, true)});
+                 make_rodinia_gaussian({}, true), [](const Node& n) {
+                   return n.api == Fn::kCudaThreadSynchronize;
+                 }});
   return out;
 }
 

@@ -1,6 +1,10 @@
 // Differential fix evaluation: the Table-1 methodology as a library.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <vector>
+
 #include "apps/apps.h"
 #include "core/compare.h"
 
@@ -34,6 +38,22 @@ TEST(CompareAnalyses, AccuracyInTablOneBand) {
   const FixOutcome o = rodinia_outcome();
   EXPECT_GT(o.accuracy(), 0.5);
   EXPECT_LE(o.accuracy(), 1.0);
+}
+
+// Table 1 (bench_table1): each app's estimate, scoped to the problems
+// its fix corrects, against the time the fix actually saves. The
+// figures are deterministic; a change to any of them must be justified.
+TEST(CompareAnalyses, TableOneAccuraciesArePinned) {
+  const std::map<std::string, double> expected = {
+      {"cumf_als", 0.62}, {"cuIBM", 0.92}, {"AMG", 0.81}, {"Rodinia", 0.70}};
+  const std::vector<apps::AppPair> app_list = apps::all_apps();
+  ASSERT_EQ(app_list.size(), expected.size());
+  for (const apps::AppPair& app : app_list) {
+    SCOPED_TRACE(app.name);
+    const ScopedFixOutcome o =
+        evaluate_scoped_fix(app.pathological, app.fixed, app.fix_scope);
+    EXPECT_NEAR(o.accuracy(), expected.at(app.name), 0.005);
+  }
 }
 
 TEST(CompareAnalyses, AmgFixResolvesMemsetOnly) {
