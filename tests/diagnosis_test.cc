@@ -82,7 +82,7 @@ TEST(DiagnosisKnownAnswers, CumfAls) {
             (std::vector<FindingAnswer>{
                 {seq738, "sync-in-hot-loop"},
                 {"Fold on cudaFree", "template-folded-sync"},
-                {"Fold on cudaMemcpy", "template-folded-sync"},
+                {"Fold on cudaMemcpy", "duplicate-transfer"},
                 {"Fold on cudaDeviceSynchronize", "template-folded-sync"},
                 {seq738, "limited-benefit-sync"},
                 {"Fold on cuPrivMemFree", "template-folded-sync"},
