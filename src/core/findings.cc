@@ -23,14 +23,17 @@ void fold_member_facts(const AnalysisResult& r, Finding& f) {
       switch (n.problem) {
         case ProblemType::kUnnecessarySync:
           ++f.unnecessary_syncs;
+          f.sync_benefit += r.benefit.benefit_of(i);
           break;
         case ProblemType::kMisplacedSync:
           ++f.misplaced_syncs;
+          f.sync_benefit += r.benefit.benefit_of(i);
           f.max_first_use_gap =
               std::max(f.max_first_use_gap, n.first_use_time);
           break;
         case ProblemType::kUnnecessaryTransfer:
           ++f.unnecessary_transfers;
+          f.transfer_benefit += r.benefit.benefit_of(i);
           break;
         case ProblemType::kNone:
           break;

@@ -34,6 +34,10 @@ struct Finding {
   // launch time for transfers): the raw time the members occupy, the
   // denominator of "how much of it is recoverable".
   Duration member_time{0};
+  // Summed per-node benefit of the transfer members and of the sync
+  // (unnecessary or misplaced) members.
+  Duration transfer_benefit{0};
+  Duration sync_benefit{0};
   // Largest first-use gap across misplaced members (0 when none).
   Duration max_first_use_gap{0};
   // Dominant API among members (by member count; ties to the smaller
