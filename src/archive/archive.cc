@@ -1,5 +1,10 @@
 #include "archive/archive.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -11,6 +16,7 @@
 #include "eventstore/run_io.h"
 #include "hashing/content_hash.h"
 #include "json/json.h"
+#include "obs/telemetry.h"
 #include "support/clock.h"
 #include "support/error.h"
 
@@ -54,6 +60,34 @@ void write_atomic(const fs::path& dest, std::span<const std::byte> bytes) {
   }
 }
 
+// Everything from `from` to the end of the file.
+std::string read_from(int fd, std::uint64_t from) {
+  std::string out;
+  char buf[1 << 16];
+  for (;;) {
+    const ssize_t n = ::pread(fd, buf, sizeof buf,
+                              static_cast<off_t>(from + out.size()));
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) throw Error("archive: cannot read the index");
+    if (n == 0) return out;
+    out.append(buf, static_cast<std::size_t>(n));
+  }
+}
+
+// The digest of a run opened from `run_file`; an in-progress prefix is
+// refused. The archive stamps the id, size and ingest clock.
+RunDigest digest_finalized(const std::string& run_file,
+                           const evstore::TraceRun& run,
+                           const evstore::RunFileInfo& info,
+                           const ffm::ToolConfig& cfg) {
+  if (!info.finalized) {
+    throw Error("archive: " + run_file +
+                " is not finalized; an in-progress prefix is not a unit "
+                "of comparison");
+  }
+  return digest_run(run, info, cfg);
+}
+
 }  // namespace
 
 std::string index_path(const std::string& root) {
@@ -77,6 +111,27 @@ Archive::Archive(ArchiveOptions opts) : opts_(std::move(opts)) {
 }
 
 Archive::AddResult Archive::add(const std::string& run_file) {
+  return add_with(run_file, [&] {
+    evstore::RunFileInfo info;
+    const evstore::TraceRun run =
+        evstore::open_run(run_file, evstore::ReadMode::kAuto, &info);
+    return digest_finalized(run_file, run, info, opts_.config);
+  });
+}
+
+Archive::AddResult Archive::add(const std::string& run_file,
+                                const evstore::TraceRun& run,
+                                const evstore::RunFileInfo& info) {
+  return add_with(run_file, [&] {
+    return digest_finalized(run_file, run, info, opts_.config);
+  });
+}
+
+// Both add() entry points: `digest_new` runs only for bytes the archive
+// has not indexed yet.
+template <typename DigestNew>
+Archive::AddResult Archive::add_with(const std::string& run_file,
+                                     DigestNew&& digest_new) {
   const std::vector<std::byte> bytes = slurp(run_file);
   const std::string id = run_id_of(bytes);
 
@@ -85,28 +140,18 @@ Archive::AddResult Archive::add(const std::string& run_file) {
   if (fs::exists(res.object_path)) {
     // Identical bytes were ingested before; the existing index line
     // already describes them, so re-ingestion appends nothing.
-    res.deduplicated = true;
-    for (RunDigest& d : index()) {
+    for (const RunDigest& d : index()) {
       if (d.run_id == id) {
-        res.digest = std::move(d);
+        res.digest = d;
+        res.deduplicated = true;
         return res;
       }
     }
     // Orphan object (crash between rename and index append): fall
     // through and re-digest so the index line finally lands.
-    res.deduplicated = false;
   }
 
-  evstore::RunFileInfo info;
-  evstore::TraceRun run = evstore::open_run(run_file, evstore::ReadMode::kAuto,
-                                            &info);
-  if (!info.finalized) {
-    throw Error("archive: " + run_file +
-                " is not finalized; an in-progress prefix is not a unit "
-                "of comparison");
-  }
-
-  res.digest = digest_run(run, info, opts_.config);
+  res.digest = digest_new();
   res.digest.run_id = id;
   res.digest.file_bytes = bytes.size();
   res.digest.ingest_wall_ms =
@@ -126,21 +171,67 @@ Archive::AddResult Archive::add(const std::string& run_file) {
   return res;
 }
 
-std::vector<RunDigest> Archive::index() const {
-  std::vector<RunDigest> out;
-  std::ifstream in(index_path(opts_.root));
-  if (!in) return out;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    try {
-      out.push_back(RunDigest::from_json(json::parse(line)));
-    } catch (const Error&) {
-      // Torn or foreign line (interrupted append): skip, keep reading —
-      // later lines may be intact if someone appended past the tear.
-    }
+const std::vector<RunDigest>& Archive::index() const {
+  IndexCache& c = index_;
+  if (c.tail) {
+    c.entries.pop_back();
+    c.tail = false;
   }
-  return out;
+  struct Fd {
+    int fd;
+    ~Fd() {
+      if (fd >= 0) ::close(fd);
+    }
+  } f{::open(index_path(opts_.root).c_str(), O_RDONLY | O_CLOEXEC)};
+  struct stat st{};
+  if (f.fd < 0 || ::fstat(f.fd, &st) != 0) {
+    c = IndexCache{};
+    return c.entries;
+  }
+  // Resume at the last complete line while the file still holds it;
+  // otherwise (gc's rename, a rewrite, a truncation) start over.
+  std::string buf;
+  std::size_t pos = 0;
+  const bool same_file = st.st_dev == c.dev && st.st_ino == c.ino &&
+                         static_cast<std::uint64_t>(st.st_size) >= c.offset;
+  if (same_file) {
+    buf = read_from(f.fd, c.offset - c.last_line.size());
+    pos = c.last_line.size();
+  }
+  if (!same_file || !buf.starts_with(c.last_line)) {
+    c = IndexCache{};
+    buf = read_from(f.fd, 0);
+    pos = 0;
+  }
+  c.dev = st.st_dev;
+  c.ino = st.st_ino;
+
+  std::uint64_t lines = 0;
+  for (;;) {
+    const std::size_t nl = buf.find('\n', pos);
+    const bool complete = nl != std::string::npos;
+    const std::string_view line(buf.data() + pos,
+                                (complete ? nl : buf.size()) - pos);
+    if (!line.empty()) {
+      ++lines;
+      try {
+        c.entries.push_back(RunDigest::from_json(json::parse(line)));
+        c.tail = !complete;
+      } catch (const Error&) {
+        // Torn or foreign line (interrupted append): skip, keep reading —
+        // later lines may be intact if someone appended past the tear.
+      }
+    }
+    if (!complete) break;
+    c.last_line.assign(buf, pos, nl + 1 - pos);
+    c.offset += nl + 1 - pos;
+    pos = nl + 1;
+  }
+  if (lines > 0 && obs::Telemetry::enabled()) {
+    obs::Telemetry::global().metrics().counter("archive.index_lines_read")
+        .inc(lines);
+  }
+  return c.entries;
 }
 
 Archive::GcStats Archive::gc() {
@@ -170,6 +261,7 @@ Archive::GcStats Archive::gc() {
     std::error_code ec;
     fs::rename(tmp, idx, ec);
     if (ec) throw Error("archive: rename to " + idx.string() + " failed");
+    index_ = IndexCache{};
   }
 
   // Pass 2: remove objects (and stale temps) no surviving entry names.

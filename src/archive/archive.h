@@ -20,6 +20,15 @@
 // appends, and the reader tolerates a torn final line (a crash between
 // the object rename and the index append leaves an orphan object, which
 // gc() collects).
+//
+// An Archive reads the index incrementally: it keeps the parsed entries
+// and the offset after the last complete line, and each index() call
+// parses only the lines appended since (its own adds, another
+// process's). It starts over from offset 0 when the file was replaced
+// (gc's rename) or no longer holds the bytes it read. A long-lived
+// Archive (the hub's) thus pays for each line once; a fresh one reads
+// the whole file. An Archive is not thread-safe, index() included:
+// share one only under a lock.
 #pragma once
 
 #include <cstdint>
@@ -64,12 +73,19 @@ class Archive {
   // Ingests one finalized run file: hash the bytes, store the object,
   // extract the digest, append the index line. Throws diog::Error on
   // I/O failure, an unreadable or non-finalized run, or an analysis
-  // failure (an in-progress prefix is not a unit of comparison).
+  // failure (an in-progress prefix is not a unit of comparison). The
+  // run is opened only when its bytes are not archived yet.
   AddResult add(const std::string& run_file);
+  // The same ingest for a run file its caller already decoded (the
+  // hub's session): `run` and `info` stand in for open_run's, so the
+  // bytes are hashed and stored but not decoded again.
+  AddResult add(const std::string& run_file, const evstore::TraceRun& run,
+                const evstore::RunFileInfo& info);
 
   // Every parseable index line, in append (ingest) order. A torn final
-  // line (interrupted append) is skipped silently.
-  [[nodiscard]] std::vector<RunDigest> index() const;
+  // line (interrupted append) is skipped silently. The reference stays
+  // valid until the next call on this Archive.
+  [[nodiscard]] const std::vector<RunDigest>& index() const;
 
   struct GcStats {
     std::uint64_t objects_kept = 0;
@@ -95,7 +111,23 @@ class Archive {
   [[nodiscard]] const std::string& root() const { return opts_.root; }
 
  private:
+  template <typename DigestNew>
+  AddResult add_with(const std::string& run_file, DigestNew&& digest_new);
+
+  // The parsed index and where reading it stopped.
+  struct IndexCache {
+    std::vector<RunDigest> entries;
+    // entries.back() came from an unterminated final line, which is
+    // parsed again on the next read.
+    bool tail = false;
+    std::uint64_t offset = 0;  // bytes of complete lines consumed
+    std::string last_line;     // the last complete line, '\n' included
+    std::uint64_t dev = 0;
+    std::uint64_t ino = 0;
+  };
+
   ArchiveOptions opts_;
+  mutable IndexCache index_;
 };
 
 }  // namespace diog::archive

@@ -441,20 +441,22 @@ void EventStore::BulkLoader::load_column_at(std::size_t c, std::uint64_t row,
 }
 
 void EventStore::finish_bulk_load() {
-  // Validate column agreement, then derive block/segment stats and
-  // per-kind counts in one serial pass: the pass is memory-bound and
-  // costs a few ms per million rows, so fanning it out does not pay.
+  // Validate column agreement, then validate and fold into block/segment
+  // stats and per-kind counts only the rows loaded since the last call:
+  // the incremental readers call this once per chunk or poll, and the
+  // dictionaries earlier rows were checked against only grow. The pass
+  // is memory-bound and costs a few ms per million rows, so fanning it
+  // out does not pay.
   const std::uint64_t n = size();
   DIOG_CHECK(kind_.size() == n && link_.size() == n && t_start_.size() == n,
              "column length mismatch after load");
-  stats_.assign(
-      static_cast<std::size_t>((n + kSegmentRows - 1) / kSegmentRows),
-      SegmentStats{});
-  block_stats_.assign(
-      static_cast<std::size_t>((n + kBlockRows - 1) / kBlockRows),
-      SegmentStats{});
+  // resize() keeps a partly filled last segment's stats and extends them.
+  stats_.resize(
+      static_cast<std::size_t>((n + kSegmentRows - 1) / kSegmentRows));
+  block_stats_.resize(
+      static_cast<std::size_t>((n + kBlockRows - 1) / kBlockRows));
   std::uint64_t kinds[kEventKindCount] = {};
-  for (std::uint64_t i = 0; i < n; ++i) {
+  for (std::uint64_t i = bulk_loaded_; i < n; ++i) {
     const auto kind_raw = kind_.get(i);
     DIOG_CHECK(kind_raw < kEventKindCount, "run file has bad event kind");
     const std::uint32_t stack_id = stack_.get(i);
@@ -484,8 +486,9 @@ void EventStore::finish_bulk_load() {
     ++kinds[kind_raw];
   }
   for (std::size_t k = 0; k < kEventKindCount; ++k) {
-    per_kind_[k].store(kinds[k], std::memory_order_relaxed);
+    per_kind_[k].fetch_add(kinds[k], std::memory_order_relaxed);
   }
+  bulk_loaded_ = n;
 }
 
 std::uint64_t EventStore::bytes_reserved() const {

@@ -233,8 +233,9 @@ class EventStore {
   }
   [[nodiscard]] const Column<std::uint64_t>& col_link() const { return link_; }
 
-  // Run-reader entry points: raw column loads followed by one stats
-  // rebuild. Counts across columns must agree (checked).
+  // Run-reader entry points: raw column loads, then finish_bulk_load(),
+  // which validates and folds into the stats the rows loaded since its
+  // last call. Counts across columns must agree (checked).
   struct BulkLoader;
   void finish_bulk_load();
 
@@ -273,6 +274,7 @@ class EventStore {
 
   std::vector<SegmentStats> stats_;
   std::vector<SegmentStats> block_stats_;
+  std::uint64_t bulk_loaded_ = 0;  // rows finish_bulk_load() has folded
   // Atomics so the heartbeat thread can sample counts live; all writes
   // still come from the single appending thread.
   std::atomic<std::uint64_t> size_{0};

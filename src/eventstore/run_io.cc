@@ -632,11 +632,20 @@ Frame read_frame(const unsigned char* data, std::size_t n,
 
 // --- StreamParser ------------------------------------------------------------
 
-struct StreamParser::Impl : ChunkParser {};
+struct StreamParser::Impl : ChunkParser {
+  std::uint64_t chunks_end = 0;  // stream offset after the last chunk
+  std::optional<FooterRecord> footer;
+};
 
 StreamParser::StreamParser() : impl_(std::make_unique<Impl>()) {}
 
 StreamParser::~StreamParser() = default;
+
+bool StreamParser::clean() const { return impl_->footer.has_value(); }
+
+bool StreamParser::finalized() const {
+  return impl_->footer && impl_->footer->finalized;
+}
 
 std::uint64_t StreamParser::chunks() const { return impl_->chunks; }
 
@@ -644,15 +653,24 @@ std::uint64_t StreamParser::events() const { return impl_->run.store->size(); }
 
 std::uint64_t StreamParser::dropped() const { return impl_->dropped_gaps; }
 
+const TraceRun& StreamParser::run() const { return impl_->run; }
+
+RunFileInfo StreamParser::info() const {
+  RunFileInfo info;
+  fill_info(info, *impl_, impl_->chunks_end, impl_->footer);
+  return info;
+}
+
 std::size_t StreamParser::accept(const unsigned char* data, std::size_t n,
                                  std::size_t budget) {
   if (!header_seen_) {
     if (n < fmt::kHeaderBytes) return 0;
     impl_->version = validate_header(data, fmt::kHeaderBytes);
+    impl_->chunks_end = fmt::kHeaderBytes;
     header_seen_ = true;
     return fmt::kHeaderBytes;
   }
-  if (clean_) {
+  if (clean()) {
     if (n > 0) throw Error("run stream corrupted: bytes after the final footer");
     return 0;
   }
@@ -677,12 +695,12 @@ std::size_t StreamParser::accept(const unsigned char* data, std::size_t n,
       if (impl_->run.store->size() != before) {
         impl_->run.store->finish_bulk_load();
       }
+      impl_->chunks_end += f.size;
       break;
     }
     case Frame::Kind::kFooter:
       check_footer_agreement(f.footer, *impl_);
-      clean_ = true;
-      finalized_ = f.footer.finalized;
+      impl_->footer = f.footer;
       break;
   }
   return static_cast<std::size_t>(f.size);

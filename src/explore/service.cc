@@ -514,8 +514,8 @@ HttpResponse Service::api_history(const HttpRequest& req) {
   aopts.root = root;
   archive::Archive ar(std::move(aopts));
   std::vector<archive::RunDigest> series;
-  for (archive::RunDigest& d : ar.index()) {
-    if (d.workload == workload) series.push_back(std::move(d));
+  for (const archive::RunDigest& d : ar.index()) {
+    if (d.workload == workload) series.push_back(d);
   }
   if (series.empty()) return error_response(404, "unknown workload");
 

@@ -1,9 +1,10 @@
 #include "hub/server.h"
 
+#include <chrono>
 #include <filesystem>
+#include <optional>
 #include <utility>
 
-#include "archive/archive.h"
 #include "archive/regress.h"
 #include "hub/protocol.h"
 #include "obs/telemetry.h"
@@ -21,16 +22,31 @@ std::string refusal(const std::string& error) {
   return encode_response(r);
 }
 
+ServerOptions checked(ServerOptions opts) {
+  DIOG_CHECK(!opts.archive_root.empty(), "hub: no archive root");
+  if (opts.spool_dir.empty()) opts.spool_dir = opts.archive_root + "/spool";
+  if (opts.max_clients == 0) opts.max_clients = 1;
+  return opts;
+}
+
+void record_since(const char* histogram,
+                  std::chrono::steady_clock::time_point start) {
+  obs::Telemetry::global().metrics().histogram(histogram).record_ns(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count());
+}
+
 }  // namespace
 
 HubServer::HubServer(ServerOptions opts)
-    : opts_(std::move(opts)), server_("hub", opts_.max_clients) {
-  DIOG_CHECK(!opts_.archive_root.empty(), "hub: no archive root");
-  if (opts_.spool_dir.empty()) {
-    opts_.spool_dir = opts_.archive_root + "/spool";
-  }
-  if (opts_.max_clients == 0) opts_.max_clients = 1;
-}
+    : opts_(checked(std::move(opts))),
+      archive_(archive::ArchiveOptions{
+          .root = opts_.archive_root,
+          .config = opts_.config,
+          .ingest_wall_ms = opts_.ingest_wall_ms,
+      }),
+      server_("hub", opts_.max_clients) {}
 
 HubServer::~HubServer() { stop(); }
 
@@ -43,18 +59,15 @@ std::string HubServer::next_spool_path() {
 IngestOutcome HubServer::ingest(const Session& session) {
   DIOG_CHECK(session.finalized(),
              "hub: ingest of a non-finalized session spool");
-  // The index is an append-only file, not a concurrent structure; one
-  // writer at a time. Sessions already validated their bytes, so the
-  // critical section is digest extraction + one line append.
+  // Sessions already validated and decoded their runs, so the critical
+  // section is the digest of the decoded run plus one line append, and
+  // the sentinel's read of that line.
   std::lock_guard<std::mutex> lock(ingest_mu_);
-  archive::Archive ar(archive::ArchiveOptions{
-      .root = opts_.archive_root,
-      .config = opts_.config,
-      .ingest_wall_ms = opts_.ingest_wall_ms,
-  });
-  const archive::Archive::AddResult added = ar.add(session.spool_path());
+  const auto start = std::chrono::steady_clock::now();
+  const archive::Archive::AddResult added =
+      archive_.add(session.spool_path(), session.run(), session.info());
   const archive::RegressReport report =
-      archive::check_workload(ar.index(), session.workload());
+      archive::check_workload(archive_.index(), session.workload());
   IngestOutcome out;
   out.run_id = added.digest.run_id;
   out.deduplicated = added.deduplicated;
@@ -68,6 +81,7 @@ IngestOutcome HubServer::ingest(const Session& session) {
   // The archived object is the durable copy; the spool was scaffolding.
   std::error_code ec;
   std::filesystem::remove(session.spool_path(), ec);
+  record_since("hub.ingest_ns", start);
   return out;
 }
 
@@ -89,6 +103,7 @@ void HubServer::handle_connection(net::Conn& conn) {
       .fsync_spool = opts_.fsync_spool,
   });
   HubResponse resp;
+  std::optional<std::chrono::steady_clock::time_point> hello_at;
   try {
     if (testkit::fault_at("hub.accept") != nullptr) {
       throw Error("hub: accept failed (injected fault)");
@@ -101,7 +116,10 @@ void HubServer::handle_connection(net::Conn& conn) {
       const std::size_t n = conn.recv_some(buf, sizeof buf);
       if (n == 0) break;  // peer shut down its write side
       session.feed(buf, n);
-      if (session.hello_done()) conn.first_message_done();
+      if (!hello_at && session.hello_done()) {
+        hello_at = std::chrono::steady_clock::now();
+        conn.first_message_done();
+      }
     }
     session.end_of_stream();
     const IngestOutcome out = ingest(session);
@@ -115,9 +133,13 @@ void HubServer::handle_connection(net::Conn& conn) {
   } catch (const Error& e) {
     // Answered with the classified error; rethrown, the core counts it
     // as hub.errors.
+    if (hello_at) record_since("hub.push_ns", *hello_at);
     conn.send_all(refusal(e.what()));
     throw;
   }
+  // Recorded as the verdict goes out, so a pusher holding its verdict
+  // finds its push counted.
+  if (hello_at) record_since("hub.push_ns", *hello_at);
   conn.send_all(encode_response(resp));
 }
 

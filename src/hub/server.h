@@ -7,9 +7,14 @@
 // after it there is no idle limit, since a --sink stream is quiet
 // between checkpoints. Sessions are independent — each owns its spool
 // file and the obs registry is thread-safe — except for the final ingest
-// step: archive::add + the regression sentinel serialize on one mutex,
-// because the index is an append-only file, not a concurrent structure.
-// The session/ingest half is socket-free, so tests drive it directly.
+// step, which serializes on one mutex: the server's one Archive (its
+// index read incrementally, not thread-safe) digests the run the session
+// already decoded and appends one index line, then the regression
+// sentinel reads the index. The session/ingest half is socket-free, so
+// tests drive it directly.
+//
+// Per-push histograms: hub.push_ns (hello to verdict) and
+// hub.ingest_ns (the ingest critical section).
 #pragma once
 
 #include <atomic>
@@ -17,6 +22,7 @@
 #include <mutex>
 #include <string>
 
+#include "archive/archive.h"
 #include "core/tool_config.h"
 #include "hub/session.h"
 #include "net/socket.h"
@@ -75,6 +81,7 @@ class HubServer {
 
   ServerOptions opts_;
   std::mutex ingest_mu_;
+  archive::Archive archive_;  // guarded by ingest_mu_
   std::atomic<std::uint64_t> session_seq_{0};
   net::Server server_;  // last: destroyed (drained) first
 };

@@ -12,6 +12,9 @@
 // SIGKILL'd LiveRunWriter leaves, and open_run classifies both
 // identically.
 //
+// The Session keeps the run it decoded (run(), info()), so ingest
+// digests it instead of decoding the spool a second time.
+//
 // Backpressure: the pending buffer never holds more than one announced
 // frame (the parser refuses any frame beyond the receive budget from its
 // 12-byte prefix), and the server reads the socket only between feed()
@@ -82,6 +85,10 @@ class Session {
   [[nodiscard]] const std::string& spool_path() const {
     return opts_.spool_path;
   }
+  // The decoded run and what open_run would report for the spool; for
+  // ingest, once end_of_stream() has returned.
+  [[nodiscard]] const evstore::TraceRun& run() const { return parser_.run(); }
+  [[nodiscard]] evstore::RunFileInfo info() const { return parser_.info(); }
 
  private:
   // After the hello, the parser tracks the run stream's progress.

@@ -188,6 +188,60 @@ TEST_F(ArchiveTest, IndexToleratesATornFinalLine) {
   EXPECT_EQ(idx[0].workload, "synthetic");
 }
 
+// One Archive reads the index incrementally; after every kind of change
+// another writer can make, it must hold what a fresh Archive reads.
+TEST_F(ArchiveTest, IncrementalIndexMatchesAFreshRead) {
+  archive::Archive ar = open_archive();
+  archive::Archive other = open_archive();
+  const std::string index_file = archive::index_path(ar.root());
+  const auto dump = [](const std::vector<archive::RunDigest>& idx) {
+    std::string out;
+    for (const archive::RunDigest& d : idx) out += d.to_json().dump() + '\n';
+    return out;
+  };
+  const auto expect_fresh = [&](const char* step) {
+    SCOPED_TRACE(step);
+    EXPECT_EQ(dump(ar.index()), dump(open_archive().index()));
+  };
+  const auto append_raw = [&](const std::string& text) {
+    std::ofstream(index_file, std::ios::binary | std::ios::app) << text;
+  };
+
+  expect_fresh("no index yet");
+  const archive::Archive::AddResult a = ar.add(synth("a", {.events = 2'000}));
+  expect_fresh("own add");
+  (void)other.add(synth("b", {.events = 2'000, .problem_sites = 6}));
+  expect_fresh("another archive's add");
+  ASSERT_EQ(ar.index().size(), 2u);
+
+  // A torn line, then the rest of it: skipped, then read.
+  const std::string line = forge("00000000000000aa", 5'000'000)
+                               .to_json()
+                               .dump();
+  append_raw(line.substr(0, line.size() / 2));
+  expect_fresh("torn tail");
+  EXPECT_EQ(ar.index().size(), 2u);
+  append_raw(line.substr(line.size() / 2) + '\n');
+  expect_fresh("torn tail completed");
+  EXPECT_EQ(ar.index().size(), 3u);
+  // A whole line still missing its newline reads as an entry, once.
+  append_raw(forge("00000000000000bb", 6'000'000).to_json().dump());
+  expect_fresh("unterminated line");
+  append_raw("\n");
+  expect_fresh("unterminated line terminated");
+  EXPECT_EQ(ar.index().size(), 4u);
+
+  // gc by another archive rewrites the index (the forged entries have
+  // no objects, and neither has `a` now).
+  fs::remove(a.object_path);
+  EXPECT_EQ(other.gc().index_entries, 1u);
+  expect_fresh("another archive's gc");
+  EXPECT_EQ(ar.index().size(), 1u);
+  (void)ar.add(synth("c", {.events = 3'000}));
+  expect_fresh("own add after gc");
+  EXPECT_EQ(ar.index().size(), 2u);
+}
+
 TEST_F(ArchiveTest, GcCollectsOrphansAndCompactsStaleEntries) {
   archive::Archive ar = open_archive();
   const archive::Archive::AddResult a = ar.add(synth("a", {.events = 2'000}));

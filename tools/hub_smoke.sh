@@ -75,6 +75,18 @@ RUN_ID=$(printf '%s' "$OUT_A" | awk '{print $2}')
 cmp "$ROOT/objects/$RUN_ID.dgtrace" "$SCRATCH/synth-a.dgtrace" \
   || { echo "FAIL: archived object differs from the pushed file"; exit 1; }
 
+# The hub digests the run its session decoded; `archive add` opens the
+# file. With the same pinned clock both write the same index line.
+"$DIOGENES" archive add "$SCRATCH/synth-a.dgtrace" --root "$SCRATCH/local" \
+  --ingest-wall-ms 0 > /dev/null
+grep "\"run_id\":\"$RUN_ID\"" "$ROOT/index.jsonl" > "$SCRATCH/hub.line"
+grep "\"run_id\":\"$RUN_ID\"" "$SCRATCH/local/index.jsonl" \
+  > "$SCRATCH/local.line"
+[ -s "$SCRATCH/hub.line" ] || { echo "FAIL: no hub index line"; exit 1; }
+cmp "$SCRATCH/hub.line" "$SCRATCH/local.line" \
+  || { echo "FAIL: hub and archive add wrote different index lines"
+       exit 1; }
+
 # Fleet read-back while only the two synthetic pushes are archived:
 # the history endpoint must report exactly those two runs (the dedup
 # re-push appended nothing).
