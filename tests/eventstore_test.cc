@@ -8,10 +8,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <random>
 #include <thread>
@@ -23,12 +25,14 @@
 #include "eventstore/cursor.h"
 #include "eventstore/event_store.h"
 #include "eventstore/live_writer.h"
+#include "eventstore/run_format.h"
 #include "eventstore/run_io.h"
 #include "gpusim/api.h"
 #include "gpusim/host_buffer.h"
 #include "obs/obs.h"
 #include "obs/telemetry.h"
 #include "support/error.h"
+#include "testkit/synth_run.h"
 #include "trace/callstack.h"
 
 // ---------------------------------------------------------------------------
@@ -1151,6 +1155,83 @@ TEST_F(RunIoTest, TraceStatReportsPerChunkEncodingAndRatio) {
   EXPECT_NE(out.find("chunk 0: coded"), std::string::npos) << out;
   EXPECT_NE(out.find(" stored / "), std::string::npos) << out;
   EXPECT_NE(out.find("x)"), std::string::npos) << out;
+}
+
+
+// --- Pinned writer bytes ------------------------------------------------------
+// The encoder's output is a format contract: these hashes were recorded
+// from the byte-at-a-time writer, and any rewrite of the chunk encoder
+// must reproduce them exactly.
+
+class WriterBytesTest : public RunIoTest {
+ protected:
+  // FNV-1a of the whole file saved with a pinned footer clock, as hex.
+  std::string pinned_hash(const TraceRun& run) {
+    SaveOptions so;
+    so.footer_wall_ms = 0;
+    save_run(path_, run, so);
+    std::ifstream in(path_, std::ios::binary);
+    const std::string bytes((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    char hex[17];
+    std::snprintf(hex, sizeof hex, "%016llx",
+                  static_cast<unsigned long long>(format::fnv1a(
+                      format::kFnvSeed, bytes.data(), bytes.size())));
+    return hex;
+  }
+
+  // Forces every encoder branch in one chunk:
+  //   api, stack, name, link     varint that shrinks;
+  //   op_index, t_start, t_end   bit-packed delta miniblocks;
+  //   gpu_time                   one raw 8-byte miniblock (a jump of
+  //                              2^60 needs more than 56 bits) among
+  //                              all-zero ones;
+  //   value                      varint that does not shrink (every
+  //                              value needs 10 bytes), so raw;
+  //   kind                       raw by preference.
+  static TraceRun every_branch_run() {
+    TraceRun run;
+    run.meta.workload = "every_branch";
+    run.meta.s2_exec = ms(5);
+    EventStore& store = *run.store;
+    const trace::Frame* frames[2] = {frame(0), frame(1)};
+    for (std::uint64_t i = 0; i < 1000; ++i) {
+      Event e;
+      e.kind = static_cast<EventKind>(i % kEventKindCount);
+      e.set_fn(i % 2 == 0 ? hooks::Fn::kCudaMemcpy
+                          : hooks::Fn::kCudaDeviceSynchronize);
+      e.stack = store.intern_stack(frames, 1 + i % 2);
+      e.name = store.intern_name("n" + std::to_string(i % 3));
+      e.op_index = i;
+      e.t_start = static_cast<std::int64_t>(i * 1000 + (i * 7919) % 300);
+      e.t_end = e.t_start + 50 + static_cast<std::int64_t>(i % 17);
+      e.gpu_time = i == 5 ? std::int64_t{1} << 60 : 0;
+      e.value = 0xf000000000000000ull | (i * 0x9e3779b97f4a7c15ull >> 8);
+      e.link = i / 3;
+      store.append(e);
+    }
+    return run;
+  }
+};
+
+TEST_F(WriterBytesTest, SynthOneChunkBytesArePinned) {
+  testkit::SynthRunOptions so;
+  so.events = 50'000;
+  EXPECT_EQ(pinned_hash(testkit::make_synthetic_run(so)), "b835422f40b5a026");
+}
+
+TEST_F(WriterBytesTest, SynthFourChunkBytesArePinned) {
+  testkit::SynthRunOptions so;
+  so.events = 200'000;
+  const TraceRun run = testkit::make_synthetic_run(so);
+  EXPECT_EQ(pinned_hash(run), "124c1d355cfec18a");
+  RunFileInfo info;
+  (void)open_run(path_, ReadMode::kAuto, &info);
+  EXPECT_EQ(info.chunks, 4u);
+}
+
+TEST_F(WriterBytesTest, EveryEncoderBranchBytesArePinned) {
+  EXPECT_EQ(pinned_hash(every_branch_run()), "587e1d4f07eddb0f");
 }
 
 }  // namespace
