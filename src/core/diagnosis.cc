@@ -75,7 +75,7 @@ std::vector<OpFlagFacts> gather_op_flags(const AnalysisResult& r,
   if (!r.run.store) return out;
   // Member op -> the findings it belongs to, ascending, each once.
   std::unordered_map<std::uint64_t, std::vector<std::size_t>> owners;
-  const std::vector<Node>& nodes = r.graph.nodes();
+  const std::span<const Node> nodes = r.graph.nodes();
   for (std::size_t k = 0; k < fs.size(); ++k) {
     for (const auto& set : fs[k].group->instance_sets()) {
       for (const std::size_t i : set) {
@@ -369,7 +369,7 @@ Diagnosis diagnose_one(const AnalysisResult& r, const Finding& f,
   // The fold holds every problem node of one API and the site string
   // names the API, so the fold's site histogram is the run's.
   using hooks::Fn;
-  const std::vector<Node>& nodes = r.graph.nodes();
+  const std::span<const Node> nodes = r.graph.nodes();
   std::vector<std::string> site;
   std::map<std::string, std::size_t> repeats;
   for (const std::size_t i : g.nodes) {

@@ -8,7 +8,7 @@ namespace diog::ffm {
 namespace {
 
 void fold_member_facts(const AnalysisResult& r, Finding& f) {
-  const std::vector<Node>& nodes = r.graph.nodes();
+  const std::span<const Node> nodes = r.graph.nodes();
   std::array<std::size_t, static_cast<std::size_t>(hooks::Fn::kCount_) + 1>
       api_counts{};
   // A merged sequence's benefit covers every loop instance; the member

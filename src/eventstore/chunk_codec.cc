@@ -38,7 +38,7 @@ void put_str(std::string& buf, std::string_view s) {
 template <typename T>
 void put_column_coded(EncodeArena& a, std::uint8_t tag, const Column<T>& col,
                       std::uint64_t rel_first, std::uint64_t count) {
-  std::string& buf = a.payload;
+  std::string& buf = a.frame;
   put_u8(buf, tag);
   put_u8(buf, static_cast<std::uint8_t>(sizeof(T)));
   const std::size_t codec_pos = buf.size();
@@ -54,15 +54,21 @@ void put_column_coded(EncodeArena& a, std::uint8_t tag, const Column<T>& col,
   if (count > 0) col.copy_rows(rel_first, count, vals);
 
   if (preferred == format::kCodecVarint) {
-    for (std::uint64_t i = 0; i < count; ++i) {
-      codec::put_varint(buf, static_cast<std::uint64_t>(vals[i]));
+    // Coding stops as soon as it cannot beat raw, so the body never
+    // needs more than raw_bytes plus one varint of room.
+    buf.resize(body + raw_bytes + codec::kMaxVarintBytes);
+    char* const start = buf.data() + body;
+    char* const limit = start + raw_bytes;
+    char* p = start;
+    for (std::uint64_t i = 0; i < count && p < limit; ++i) {
+      p = codec::put_varint(p, static_cast<std::uint64_t>(vals[i]));
     }
+    buf.resize(body + static_cast<std::size_t>(p - start));
   } else if (preferred == format::kCodecDelta) {
     if constexpr (sizeof(T) == 8) {
-      a.widened.resize(static_cast<std::size_t>(count));
-      if (count > 0) std::memcpy(a.widened.data(), vals, raw_bytes);
       a.miniblock.resize(codec::kDeltaMiniblock);
-      codec::put_delta_u64(buf, a.widened.data(), count, a.miniblock.data());
+      codec::put_delta_u64(buf, reinterpret_cast<const std::uint64_t*>(vals),
+                           count, a.miniblock.data());
     }
   }
 
@@ -93,7 +99,7 @@ DictRange dicts_upto(const EventStore& store) {
           .names_to = store.name_count()};
 }
 
-// One complete chunk frame in a.blob: envelope | payload | checksum.
+// One complete chunk frame in a.frame: envelope | payload | checksum.
 // The payload is meta + dictionary deltas + coded column slices for
 // events [chunk_first, chunk_first + count) of the append stream, where
 // `rel_first` is that range's start row in the store's resident window.
@@ -103,39 +109,42 @@ void encode_chunk(EncodeArena& a, const EventStore& store,
                   std::uint64_t chunk_first, std::uint64_t count,
                   std::uint64_t rel_first) {
   DIOG_SPAN("evstore.save.encode");
-  std::string& payload = a.payload;
-  payload.clear();
-  put_u64(payload, meta_json.size());
-  put_bytes(payload, meta_json.data(), meta_json.size());
+  std::string& frame = a.frame;
+  frame.clear();
+  put_u32(frame, format::kChunkMagic);
+  put_u64(frame, 0);  // payload length, patched below
+  const std::size_t payload_at = frame.size();
+  put_u64(frame, meta_json.size());
+  put_bytes(frame, meta_json.data(), meta_json.size());
 
   const StackDict& stacks = store.stacks();
-  put_u32(payload, dicts.frames_to - dicts.frames_from);
+  put_u32(frame, dicts.frames_to - dicts.frames_from);
   for (std::uint32_t i = dicts.frames_from; i < dicts.frames_to; ++i) {
     const trace::Frame* f = stacks.frame_at(i);
-    put_str(payload, f->function);
-    put_str(payload, f->file);
-    put_i32(payload, f->line);
+    put_str(frame, f->function);
+    put_str(frame, f->file);
+    put_i32(frame, f->line);
   }
 
-  put_u32(payload, dicts.stacks_to - dicts.stacks_from);
+  put_u32(frame, dicts.stacks_to - dicts.stacks_from);
   for (StackId id = dicts.stacks_from; id < dicts.stacks_to; ++id) {
     const auto depth = static_cast<std::uint32_t>(stacks.depth(id));
-    put_u32(payload, depth);
+    put_u32(frame, depth);
     for (std::uint32_t d = 0; d < depth; ++d) {
-      put_u32(payload,
+      put_u32(frame,
               static_cast<std::uint32_t>(stacks.stack_frame_id(id, d)));
     }
   }
 
-  put_u32(payload, dicts.names_to - dicts.names_from);
+  put_u32(frame, dicts.names_to - dicts.names_from);
   for (NameId id = dicts.names_from; id < dicts.names_to; ++id) {
-    put_str(payload, store.name(id));
+    put_str(frame, store.name(id));
   }
 
-  put_u64(payload, chunk_first);
-  put_u64(payload, count);
-  put_u8(payload, static_cast<std::uint8_t>(format::kColumnCount));
-  put_u8(payload, format::kChunkEncodingCoded);
+  put_u64(frame, chunk_first);
+  put_u64(frame, count);
+  put_u8(frame, static_cast<std::uint8_t>(format::kColumnCount));
+  put_u8(frame, format::kChunkEncodingCoded);
   put_column_coded(a, 0, store.col_kind(), rel_first, count);
   put_column_coded(a, 1, store.col_api(), rel_first, count);
   put_column_coded(a, 2, store.col_flags(), rel_first, count);
@@ -152,12 +161,10 @@ void encode_chunk(EncodeArena& a, const EventStore& store,
   put_column_coded(a, 13, store.col_value(), rel_first, count);
   put_column_coded(a, 14, store.col_link(), rel_first, count);
 
-  a.blob.clear();
-  put_u32(a.blob, format::kChunkMagic);
-  put_u64(a.blob, payload.size());
-  a.blob += payload;
-  put_u64(a.blob,
-          format::fnv1a(format::kFnvSeed, payload.data(), payload.size()));
+  const std::uint64_t payload_len = frame.size() - payload_at;
+  std::memcpy(frame.data() + 4, &payload_len, 8);
+  put_u64(frame, format::fnv1a(format::kFnvSeed, frame.data() + payload_at,
+                               payload_len));
 }
 
 }  // namespace
@@ -204,7 +211,7 @@ bool RunEncoder::checkpoint(const TraceRun& run, bool force,
                 .names_from = names_written_,
                 .names_to = all.names_to},
                chunk_first, count, chunk_first - first_avail);
-  emit(arenas_[0].blob);
+  emit(arenas_[0].frame);
 
   next_event_ = total;
   dropped_ = dropped;
@@ -257,7 +264,7 @@ void RunEncoder::save_layout(const TraceRun& run, const Emit& emit) {
                    base + k == 0 ? all : DictRange{},
                    first_avail + rel_first, count, rel_first);
     });
-    for (std::size_t k = 0; k < batch; ++k) emit(arenas_[k].blob);
+    for (std::size_t k = 0; k < batch; ++k) emit(arenas_[k].frame);
   }
 
   next_event_ = first_avail + n;

@@ -28,12 +28,12 @@ namespace diog::evstore {
 namespace codec {
 
 // Reusable buffers for one chunk encode; never shared between threads
-// concurrently.
+// concurrently. The frame is assembled in place: the envelope's length
+// is patched once the payload is written and the checksum appended, so
+// no payload byte is copied after it is encoded.
 struct EncodeArena {
-  std::string payload;                  // the chunk payload being built
-  std::string blob;                     // envelope + payload + checksum
+  std::string frame;                    // envelope | payload | checksum
   std::vector<unsigned char> staging;   // raw column values (copy_rows)
-  std::vector<std::uint64_t> widened;   // 8-byte view for the delta codec
   std::vector<std::uint64_t> miniblock; // delta codec miniblock scratch
 };
 

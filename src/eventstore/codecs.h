@@ -19,7 +19,9 @@
 //                  128-bit shifts); any other W > 56 is invalid.
 //
 // Encoders are pure byte assembly into a caller-owned, reusable buffer
-// (no allocation after warm-up). Decoders are the adversarial side:
+// (no allocation after warm-up). They size the buffer once per value
+// run (a varint, a miniblock), write through a pointer, then trim, so
+// no byte pays for a push_back. Decoders are the adversarial side:
 // every read is bounds-checked against the declared encoded length and
 // every structural violation — varint overrun, truncated miniblock,
 // invalid bit width, trailing bytes — throws diog::Error with a message
@@ -27,6 +29,7 @@
 // `end` and never writes more than `count` values.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -51,12 +54,22 @@ inline std::int64_t unzigzag(std::uint64_t u) {
 
 // --- Varint ------------------------------------------------------------------
 
-inline void put_varint(std::string& out, std::uint64_t v) {
+inline constexpr std::size_t kMaxVarintBytes = 10;
+
+// Writes `v` at `p` (room for kMaxVarintBytes) and returns the byte
+// after it.
+inline char* put_varint(char* p, std::uint64_t v) {
   while (v >= 0x80) {
-    out.push_back(static_cast<char>((v & 0x7f) | 0x80));
+    *p++ = static_cast<char>((v & 0x7f) | 0x80);
     v >>= 7;
   }
-  out.push_back(static_cast<char>(v));
+  *p++ = static_cast<char>(v);
+  return p;
+}
+
+inline void put_varint(std::string& out, std::uint64_t v) {
+  char bytes[kMaxVarintBytes];
+  out.append(bytes, put_varint(bytes, v));
 }
 
 // Reads one varint from [*p, end); advances *p. Throws on a varint that
@@ -87,15 +100,6 @@ inline std::uint64_t get_varint(const unsigned char** p,
 
 // --- Delta + zigzag + bitpack ------------------------------------------------
 
-inline unsigned bits_needed(std::uint64_t v) {
-  unsigned w = 0;
-  while (v != 0) {
-    ++w;
-    v >>= 1;
-  }
-  return w;
-}
-
 // Encodes `count` 64-bit values (already widened; signed columns pass
 // their bit pattern) as first + zigzag deltas. `scratch` holds the
 // current miniblock's zigzag deltas between the width scan and the
@@ -109,38 +113,44 @@ inline void put_delta_u64(std::string& out, const std::uint64_t* v,
   while (i < count) {
     const std::uint64_t k =
         count - i < kDeltaMiniblock ? count - i : kDeltaMiniblock;
-    unsigned width = 0;
+    std::uint64_t any_bits = 0;
     for (std::uint64_t j = 0; j < k; ++j) {
       // Unsigned wraparound keeps decreasing sequences well-defined;
       // zigzag folds the sign back into a small magnitude.
       const std::uint64_t d = v[i + j] - prev;
       prev = v[i + j];
       scratch[j] = zigzag(static_cast<std::int64_t>(d));
-      const unsigned w = bits_needed(scratch[j]);
-      if (w > width) width = w;
+      any_bits |= scratch[j];
     }
+    // The widest delta's bit count.
+    const auto width = static_cast<unsigned>(std::bit_width(any_bits));
+    // Room for the widest form (k raw deltas) plus the 8-byte store
+    // below past the last packed byte; trimmed to what was written.
+    const std::size_t at = out.size();
+    out.resize(at + 1 + static_cast<std::size_t>(k) * 8 + 8);
+    char* p = out.data() + at;
     if (width > kMaxPackedWidth) {
-      out.push_back(static_cast<char>(kRawDeltaWidth));
-      const std::size_t old = out.size();
-      out.resize(old + static_cast<std::size_t>(k) * 8);
-      std::memcpy(out.data() + old, scratch,
-                  static_cast<std::size_t>(k) * 8);
+      *p++ = static_cast<char>(kRawDeltaWidth);
+      std::memcpy(p, scratch, static_cast<std::size_t>(k) * 8);
+      p += static_cast<std::size_t>(k) * 8;
     } else {
-      out.push_back(static_cast<char>(width));
+      *p++ = static_cast<char>(width);
       std::uint64_t acc = 0;
       unsigned bits = 0;
       for (std::uint64_t j = 0; j < k; ++j) {
         // bits < 8 and width <= 56, so acc never overflows 64 bits.
+        // Store all 8 bytes of acc (little-endian, like every integer
+        // in the format) and keep the partial byte for the next value.
         acc |= scratch[j] << bits;
         bits += width;
-        while (bits >= 8) {
-          out.push_back(static_cast<char>(acc & 0xff));
-          acc >>= 8;
-          bits -= 8;
-        }
+        std::memcpy(p, &acc, 8);
+        p += bits >> 3;
+        acc >>= bits & ~7u;
+        bits &= 7;
       }
-      if (bits > 0) out.push_back(static_cast<char>(acc & 0xff));
+      if (bits > 0) *p++ = static_cast<char>(acc & 0xff);
     }
+    out.resize(static_cast<std::size_t>(p - out.data()));
     i += k;
   }
 }

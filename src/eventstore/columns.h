@@ -7,6 +7,13 @@
 // it directly. Segment addresses are stable once allocated (readers may
 // hold pointers across appends).
 //
+// Segments are not value-initialised (make_unique_for_overwrite): every
+// row is written before size() counts it, by push() or, on the run
+// reader's path, by write_rows() into rows resize_rows() reserved (a
+// failed load gives them back). So opening a 1M-row run does not
+// zero-fill ~90 MB that decode overwrites at once, and no reader may
+// look past size().
+//
 // Ring mode (EventStore retention) evicts whole segments from the front
 // with drop_front_segment(); the evicted buffer is stashed and reused by
 // the next boundary-crossing push, so a steady-state ring appends
@@ -36,10 +43,7 @@ class Column {
  public:
   void push(T v) {
     const std::size_t slot = size_ % kSegmentRows;
-    if (slot == 0) {
-      segments_.push_back(spare_ ? std::move(spare_)
-                                 : std::make_unique<T[]>(kSegmentRows));
-    }
+    if (slot == 0) open_segment();
     segments_.back()[slot] = v;
     ++size_;
   }
@@ -65,14 +69,19 @@ class Column {
            kSegmentRows * sizeof(T);
   }
 
-  // Grows the column to `new_size` rows, allocating segments up front.
-  // Serial (single caller); pairs with write_rows for the run reader's
-  // parallel decode: once the segments exist, disjoint row ranges may
-  // be filled from different threads.
-  void grow_rows(std::uint64_t new_size) {
-    while (segments_.size() * kSegmentRows < new_size) {
-      segments_.push_back(spare_ ? std::move(spare_)
-                                 : std::make_unique<T[]>(kSegmentRows));
+  // Sets the column to `new_size` rows. Growing allocates the segments
+  // up front and leaves the new rows indeterminate until write_rows
+  // fills them; shrinking gives back rows a failed load never wrote (a
+  // freed segment becomes the spare). Serial (single caller); pairs with
+  // write_rows for the run reader's parallel decode: once the segments
+  // exist, disjoint row ranges may be filled from different threads.
+  void resize_rows(std::uint64_t new_size) {
+    const auto need =
+        static_cast<std::size_t>((new_size + kSegmentRows - 1) / kSegmentRows);
+    while (segments_.size() < need) open_segment();
+    if (segments_.size() > need) {
+      spare_ = std::move(segments_[need]);
+      segments_.resize(need);
     }
     size_ = new_size;
   }
@@ -130,6 +139,12 @@ class Column {
   }
 
  private:
+  void open_segment() {
+    segments_.push_back(spare_ ? std::move(spare_)
+                               : std::make_unique_for_overwrite<T[]>(
+                                     kSegmentRows));
+  }
+
   std::vector<std::unique_ptr<T[]>> segments_;
   std::unique_ptr<T[]> spare_;  // recycled by the next segment open
   std::uint64_t size_ = 0;

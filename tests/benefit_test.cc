@@ -386,7 +386,8 @@ TEST_P(BenefitPropertyTest, EvaluationIsDeterministic) {
 
 class CopyAndMutate {
  public:
-  explicit CopyAndMutate(const ExecutionGraph& g) : nodes_(g.nodes()) {}
+  explicit CopyAndMutate(const ExecutionGraph& g)
+      : nodes_(g.nodes().begin(), g.nodes().end()) {}
 
   BenefitReport evaluate(const std::vector<std::size_t>& targets,
                          const BenefitOptions& opts) {
