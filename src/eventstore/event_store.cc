@@ -354,23 +354,31 @@ Event EventStore::event(std::uint64_t i) const {
 }
 
 void EventStore::BulkLoader::reserve(std::uint64_t extra) {
-  const std::uint64_t total = store.size() + extra;
-  store.kind_.grow_rows(total);
-  store.api_.grow_rows(total);
-  store.flags_.grow_rows(total);
-  store.stream_.grow_rows(total);
-  store.stack_.grow_rows(total);
-  store.aux_stack_.grow_rows(total);
-  store.name_.grow_rows(total);
-  store.op_index_.grow_rows(total);
-  store.t_start_.grow_rows(total);
-  store.t_end_.grow_rows(total);
-  store.aux_time_.grow_rows(total);
-  store.gpu_time_.grow_rows(total);
-  store.bytes_.grow_rows(total);
-  store.value_.grow_rows(total);
-  store.link_.grow_rows(total);
-  store.size_.store(total, std::memory_order_release);
+  resize(store.size() + extra);
+}
+
+void EventStore::BulkLoader::unreserve(std::uint64_t rows) {
+  DIOG_CHECK(rows <= store.size(), "unreserve past the reserved rows");
+  resize(rows);
+}
+
+void EventStore::BulkLoader::resize(std::uint64_t rows) {
+  store.kind_.resize_rows(rows);
+  store.api_.resize_rows(rows);
+  store.flags_.resize_rows(rows);
+  store.stream_.resize_rows(rows);
+  store.stack_.resize_rows(rows);
+  store.aux_stack_.resize_rows(rows);
+  store.name_.resize_rows(rows);
+  store.op_index_.resize_rows(rows);
+  store.t_start_.resize_rows(rows);
+  store.t_end_.resize_rows(rows);
+  store.aux_time_.resize_rows(rows);
+  store.gpu_time_.resize_rows(rows);
+  store.bytes_.resize_rows(rows);
+  store.value_.resize_rows(rows);
+  store.link_.resize_rows(rows);
+  store.size_.store(rows, std::memory_order_release);
 }
 
 void EventStore::BulkLoader::load_column_at(std::size_t c, std::uint64_t row,

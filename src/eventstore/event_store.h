@@ -298,6 +298,9 @@ struct EventStore::BulkLoader {
   // different threads concurrently because it only memcpy's into the
   // reserved segments.
   void reserve(std::uint64_t extra);
+  // Gives back reserved rows a failed load never wrote: every column
+  // and size() return to `rows`.
+  void unreserve(std::uint64_t rows);
 
   // Loads one column of a chunk, decoded into a scratch buffer at the
   // column's natural width: `c` is the format column index (run_format.h
@@ -306,6 +309,9 @@ struct EventStore::BulkLoader {
   // thread that would have owned the allocation.
   void load_column_at(std::size_t c, std::uint64_t row, const void* src,
                       std::uint64_t n);
+
+ private:
+  void resize(std::uint64_t rows);
 };
 
 }  // namespace diog::evstore

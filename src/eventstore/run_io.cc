@@ -298,14 +298,28 @@ struct ChunkParser {
 
   // The incremental readers' step (RunFollower, StreamParser): verify,
   // parse and load one chunk. The caller finishes the bulk load once
-  // per batch.
+  // per batch. A chunk whose columns fail to decode is not counted:
+  // its reserved rows (never written) and its place in the stream are
+  // given back before the error propagates.
   void load_next(const unsigned char* payload, std::size_t len) {
     verify_chunk_checksum(payload, len, chunks);
+    const std::uint64_t prev_next = next_expected;
+    const std::uint64_t prev_gaps = dropped_gaps;
     const PendingLoad load = apply(Slice{payload, len, 0});
     if (load.count == 0) return;
     EventStore::BulkLoader loader{*run.store};
     loader.reserve(load.count);
-    load_columns(loader, load, scratch);
+    try {
+      load_columns(loader, load, scratch);
+    } catch (...) {
+      loader.unreserve(load.row);
+      resident_rows = load.row;
+      next_expected = prev_next;
+      dropped_gaps = prev_gaps;
+      --chunks;
+      chunk_stats.pop_back();
+      throw;
+    }
   }
 };
 

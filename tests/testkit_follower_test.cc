@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
 
 #include "eventstore/live_writer.h"
 #include "eventstore/run_format.h"
@@ -144,6 +145,59 @@ TEST_F(FollowerTest, TruncationAtExactConsumedOffsetIsBenign) {
   EXPECT_EQ(follower.poll(), 20u);
   fs::resize_file(path_, complete);
   EXPECT_EQ(follower.poll(), 0u);  // nothing new, no error
+}
+
+
+// A chunk whose columns fail to decode leaves no rows behind: after the
+// throw, both incremental readers hold exactly the rows of the chunks
+// that loaded completely. Each committed corrupt input is read alone
+// and behind one clean chunk.
+TEST_F(FollowerTest, FailedChunkDecodeLeavesOnlyCompleteChunksCounted) {
+  struct Input {
+    const char* file;
+    CodedChunkParams corrupt;
+  };
+  CodedChunkParams bitpack;
+  bitpack.event_count = 200;
+  bitpack.corruption = CodedChunkParams::Corruption::kTruncatedDelta;
+  CodedChunkParams varint;
+  varint.event_count = 16;
+  varint.corruption = CodedChunkParams::Corruption::kVarintOverrun;
+  varint.corrupt_column = 12;
+  for (Input in : {Input{"truncated_bitpack.dgtrace", bitpack},
+                   Input{"varint_overrun.dgtrace", varint}}) {
+    SCOPED_TRACE(in.file);
+    const Bytes alone = read_file(std::string(DIOG_TEST_DATA_DIR) +
+                                  "/dgtrace/regression/" + in.file);
+    CodedChunkParams clean;
+    clean.event_count = 300;
+    in.corrupt.first_event_index = clean.event_count;
+    Bytes behind = make_header();
+    append(behind, make_coded_chunk(clean));
+    append(behind, make_coded_chunk(in.corrupt));
+
+    for (const auto& [bytes, complete_rows] :
+         {std::pair{alone, std::uint64_t{0}},
+          std::pair{behind, clean.event_count}}) {
+      write_file(path_, bytes);
+      evstore::RunFollower follower(path_);
+      EXPECT_THROW(follower.poll(), Error);
+      EXPECT_EQ(follower.run().store->size(), complete_rows);
+
+      evstore::StreamParser parser;
+      std::size_t off = 0;
+      EXPECT_THROW(
+          for (;;) {
+            const std::size_t n = parser.accept(
+                bytes.data() + off, bytes.size() - off, bytes.size());
+            if (n == 0) break;
+            off += n;
+          },
+          Error);
+      EXPECT_EQ(parser.run().store->size(), complete_rows);
+      EXPECT_EQ(parser.events(), complete_rows);
+    }
+  }
 }
 
 }  // namespace
