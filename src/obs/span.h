@@ -8,6 +8,14 @@
 // SpanCollector that the chrome_trace exporter renders as a dedicated
 // "diogenes-internal" track. With DIOG_OBS_ENABLED=0 the macro expands
 // to nothing.
+//
+// Each span also records `minflt`, the minor page faults taken while it
+// was open: the getrusage(RUSAGE_SELF) ru_minflt delta between open and
+// close. RUSAGE_SELF counts every thread of the process, so a span
+// includes its pool workers' faults, and a span on one thread also
+// counts faults that other threads took meanwhile. Fault counts are not
+// deterministic, so they appear in --telemetry JSONL only, never in run
+// files, exports or the oracle.
 #pragma once
 
 #include <chrono>
@@ -28,6 +36,7 @@ struct SpanRecord {
   std::int64_t end_ns = -1;   // -1 while the span is still open
   int depth = 0;              // 0 = top-level
   std::int64_t parent = -1;   // index into the collector, -1 for roots
+  std::int64_t minflt = 0;    // minor faults while open (0 until closed)
 
   [[nodiscard]] std::int64_t duration_ns() const {
     return end_ns < start_ns ? 0 : end_ns - start_ns;
@@ -58,6 +67,7 @@ class SpanCollector {
  private:
   mutable std::mutex mu_;
   std::vector<SpanRecord> spans_;
+  std::vector<std::int64_t> open_minflt_;  // ru_minflt at each span's open
   std::chrono::steady_clock::time_point epoch_;
 };
 

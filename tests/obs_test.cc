@@ -6,7 +6,10 @@
 // contract instead.
 #include <gtest/gtest.h>
 
+#include <sys/mman.h>
+
 #include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -229,6 +232,33 @@ TEST(ObsSpan, RaiiMacroRespectsRuntimeToggle) {
     EXPECT_EQ(recs[0].name, "test.enabled_span");
     EXPECT_GE(recs[0].end_ns, recs[0].start_ns);
   }
+  t.reset();
+}
+
+// A span records the minor faults taken while it was open: the first
+// touch of a fresh 8 MiB mapping faults at least once (per 4 KiB page,
+// or per 2 MiB page where huge pages back it), and the JSONL span line
+// carries the count.
+TEST(ObsSpan, SpanCountsTheFaultsOfAFirstTouch) {
+  if (!kCompiledIn) GTEST_SKIP() << "obs compiled out";
+  auto& t = Telemetry::global();
+  t.reset();
+  t.set_enabled(true);
+  constexpr std::size_t kBytes = std::size_t{8} << 20;
+  void* m = ::mmap(nullptr, kBytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  ASSERT_NE(m, MAP_FAILED);
+  {
+    DIOG_SPAN("test.first_touch");
+    std::memset(m, 1, kBytes);
+  }
+  ::munmap(m, kBytes);
+
+  const auto recs = t.spans().snapshot();
+  ASSERT_EQ(recs.size(), 1u);
+  EXPECT_GT(recs[0].minflt, 0);
+  EXPECT_NE(t.to_jsonl().find("\"minflt\":" + std::to_string(recs[0].minflt)),
+            std::string::npos);
   t.reset();
 }
 
