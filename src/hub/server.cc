@@ -66,17 +66,22 @@ IngestOutcome HubServer::ingest(const Session& session) {
   const auto start = std::chrono::steady_clock::now();
   const archive::Archive::AddResult added =
       archive_.add(session.spool_path(), session.run(), session.info());
+  // The verdict checks the workload the run's digest is filed under
+  // (its own meta), and counts drift only when this run is that
+  // workload's newest: a dedup of an older run says nothing new.
   const archive::RegressReport report =
-      archive::check_workload(archive_.index(), session.workload());
+      archive::check_workload(archive_.index(), added.digest.workload);
   IngestOutcome out;
   out.run_id = added.digest.run_id;
   out.deduplicated = added.deduplicated;
-  out.drift_findings = report.findings.size();
+  out.drift_findings = report.newest_run_id == out.run_id
+                           ? report.findings.size()
+                           : 0;
   if (obs::Telemetry::enabled()) {
     auto& m = obs::Telemetry::global().metrics();
     m.counter("hub.ingested").inc();
     if (added.deduplicated) m.counter("hub.dedup").inc();
-    if (report.drifted()) m.counter("hub.drift").inc();
+    if (out.drift_findings > 0) m.counter("hub.drift").inc();
   }
   // The archived object is the durable copy; the spool was scaffolding.
   std::error_code ec;

@@ -98,13 +98,14 @@ class HubTest : public ::testing::Test {
   // Returns the session for inspection; throws whatever feed() throws.
   std::unique_ptr<Session> stream_session(
       const std::vector<unsigned char>& bytes, const std::string& spool,
-      std::size_t step = 799, std::size_t max_pending = 64ull << 20) {
+      std::size_t step = 799, std::size_t max_pending = 64ull << 20,
+      const std::string& hello_workload = "hubtest") {
     SessionOptions sopts;
     sopts.spool_path = spool;
     sopts.max_pending_bytes = max_pending;
     sopts.fsync_spool = false;
     auto session = std::make_unique<Session>(std::move(sopts));
-    const std::string hello = encode_hello("hubtest");
+    const std::string hello = encode_hello(hello_workload);
     session->feed(reinterpret_cast<const unsigned char*>(hello.data()),
                   hello.size());
     for (std::size_t off = 0; off < bytes.size(); off += step) {
@@ -965,6 +966,35 @@ TEST_F(HubTest, RegressVerdictCountsAnExternalArchiveAdd) {
   // external run as its baseline it drifts.
   const auto drifted = session_for(read_bytes(synth("drift.dgtrace", 6)));
   EXPECT_GT(server.ingest(*drifted).drift_findings, 0u);
+}
+
+// The verdict checks the workload the run is filed under (its meta),
+// whatever the hello named, and a dedup of an older run does not carry
+// the drift of the workload's newest.
+TEST_F(HubTest, VerdictChecksTheRunsOwnWorkload) {
+  ServerOptions sopts;
+  sopts.archive_root = dir_ + "/archive";
+  sopts.ingest_wall_ms = 0;
+  HubServer server(std::move(sopts));
+  const auto push = [&](const std::string& name, std::uint32_t sites,
+                        const std::string& hello) {
+    const evstore::TraceRun run = testkit::make_synthetic_run(
+        {.events = 20'000, .problem_sites = sites});
+    auto s = stream_session(pinned_save_bytes(run, name),
+                            server.next_spool_path(), 1 << 16, 64ull << 20,
+                            hello);
+    s->end_of_stream();
+    return server.ingest(*s);
+  };
+  const IngestOutcome quiet = push("quiet.dgtrace", 2, "synthetic");
+  EXPECT_EQ(quiet.drift_findings, 0u);
+  const IngestOutcome drift = push("drift.dgtrace", 6, "another_name");
+  EXPECT_FALSE(drift.deduplicated);
+  EXPECT_GT(drift.drift_findings, 0u);
+  const IngestOutcome again = push("quiet.dgtrace", 2, "synthetic");
+  EXPECT_TRUE(again.deduplicated);
+  EXPECT_EQ(again.run_id, quiet.run_id);
+  EXPECT_EQ(again.drift_findings, 0u);
 }
 
 // Each push lands in hub.push_ns (hello to verdict) and hub.ingest_ns
