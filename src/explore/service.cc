@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <unordered_map>
+#include <utility>
 
 #include "archive/archive.h"
 #include "archive/regress.h"
@@ -500,6 +501,17 @@ std::string Service::archive_root() const {
   return std::string();
 }
 
+template <typename Fn>
+auto Service::with_archive(const std::string& root, Fn&& fn) {
+  std::lock_guard<std::mutex> lock(archive_mu_);
+  if (archive_ == nullptr || archive_->root() != root) {
+    archive::ArchiveOptions aopts;
+    aopts.root = root;
+    archive_ = std::make_unique<archive::Archive>(std::move(aopts));
+  }
+  return fn(std::as_const(*archive_));
+}
+
 HttpResponse Service::api_history(const HttpRequest& req) {
   const std::string root = archive_root();
   if (root.empty()) {
@@ -510,13 +522,14 @@ HttpResponse Service::api_history(const HttpRequest& req) {
     return error_response(400, "missing required parameter: workload");
   }
 
-  archive::ArchiveOptions aopts;
-  aopts.root = root;
-  archive::Archive ar(std::move(aopts));
-  std::vector<archive::RunDigest> series;
-  for (const archive::RunDigest& d : ar.index()) {
-    if (d.workload == workload) series.push_back(d);
-  }
+  const std::vector<archive::RunDigest> series =
+      with_archive(root, [&](const archive::Archive& ar) {
+        std::vector<archive::RunDigest> mine;
+        for (const archive::RunDigest& d : ar.index()) {
+          if (d.workload == workload) mine.push_back(d);
+        }
+        return mine;
+      });
   if (series.empty()) return error_response(404, "unknown workload");
 
   // Same LoD contract as /api/timeline, over ingest sequence index
@@ -576,10 +589,8 @@ HttpResponse Service::api_regressions(const HttpRequest& req) {
   if (window < 0) return error_response(400, "window must be positive");
   if (window > 0) ropts.baseline_window = static_cast<std::size_t>(window);
 
-  archive::ArchiveOptions aopts;
-  aopts.root = root;
-  archive::Archive ar(std::move(aopts));
-  const std::vector<archive::RunDigest> index = ar.index();
+  const std::vector<archive::RunDigest> index = with_archive(
+      root, [](const archive::Archive& ar) { return ar.index(); });
   json::Array reports;
   std::uint64_t drifted = 0;
   for (const archive::RegressReport& r : archive::check_all(index, ropts)) {
@@ -603,10 +614,8 @@ HttpResponse Service::api_metrics() {
   // and they must survive -DDIOG_OBS=OFF (which no-ops Gauge::set).
   const std::string root = archive_root();
   if (!root.empty()) {
-    archive::ArchiveOptions aopts;
-    aopts.root = root;
-    const archive::Archive ar(std::move(aopts));
-    const archive::Archive::Stats st = ar.stats();
+    const archive::Archive::Stats st = with_archive(
+        root, [](const archive::Archive& ar) { return ar.stats(); });
     body += obs::prometheus_gauge_line(
         "archive.runs", static_cast<std::int64_t>(st.runs));
     body += obs::prometheus_gauge_line(

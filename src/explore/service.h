@@ -22,12 +22,17 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
 #include "core/findings.h"
 #include "core/tool_config.h"
 #include "explore/http.h"
+
+namespace diog::archive {
+class Archive;
+}  // namespace diog::archive
 
 namespace diog::explore {
 
@@ -75,9 +80,19 @@ class Service {
   // The archive root the fleet endpoints answer from; empty when none
   // was configured and none was discovered next to the serve root.
   std::string archive_root() const;
+  // Calls fn(const archive::Archive&) on the fleet endpoints' shared
+  // archive at `root`, under archive_mu_, and returns its result.
+  template <typename Fn>
+  auto with_archive(const std::string& root, Fn&& fn);
 
   ServiceOptions opts_;
   std::map<std::string, std::unique_ptr<CachedRun>> cache_;
+  // One Archive for /api/history, /api/regressions and /metrics,
+  // created on first use (again if the discovered root changes). It
+  // reads the index incrementally, so a request parses only the lines
+  // appended since the last one.
+  std::mutex archive_mu_;
+  std::unique_ptr<archive::Archive> archive_;
 };
 
 // `diogenes explore <root> [--port N]`: bind, print the URL, serve until

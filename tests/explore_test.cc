@@ -647,6 +647,48 @@ TEST_F(ExploreTest, MetricsEndpointSpeaksPrometheusTextFormat) {
   }
 }
 
+// The fleet endpoints share one incrementally read archive: scrapes with
+// no ingest in between parse no index line again, and an ingest costs
+// the next request its one new line.
+TEST_F(ExploreTest, FleetEndpointsReadEachIndexLineOnce) {
+  if (!obs::kCompiledIn) GTEST_SKIP() << "obs compiled out";
+  obs::Telemetry::global().set_enabled(true);
+  save("a", testkit::make_synthetic_run({.events = 1'000}));
+  save("b", testkit::make_synthetic_run({.events = 1'000,
+                                         .op_spacing_ns = 1001}));
+  save("c", testkit::make_synthetic_run({.events = 1'000,
+                                         .op_spacing_ns = 1002}));
+  archive::Archive ar(archive::ArchiveOptions{
+      .root = dir_ + "/archive", .config = {}, .ingest_wall_ms = 0});
+  (void)ar.add(dir_ + "/a.dgtrace");
+  (void)ar.add(dir_ + "/b.dgtrace");
+  const auto lines_read = [] {
+    return obs::Telemetry::global()
+        .metrics()
+        .counter("archive.index_lines_read")
+        .value();
+  };
+
+  explore::Service svc({.root = dir_, .config = {}, .archive_root = {}});
+  const std::uint64_t before = lines_read();
+  std::vector<std::uint64_t> seen;
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_EQ(get(svc, "/metrics").status, 200);
+    seen.push_back(lines_read() - before);
+  }
+  EXPECT_EQ(seen, (std::vector<std::uint64_t>{2, 2, 2}));
+  EXPECT_EQ(get(svc, "/api/history?workload=synthetic").status, 200);
+  EXPECT_EQ(get(svc, "/api/regressions").status, 200);
+  EXPECT_EQ(lines_read() - before, 2u);
+
+  (void)ar.add(dir_ + "/c.dgtrace");
+  const std::uint64_t after_add = lines_read();
+  const explore::HttpResponse m = get(svc, "/metrics");
+  EXPECT_NE(m.body.find("diogenes_archive_runs 3"), std::string::npos)
+      << m.body;
+  EXPECT_EQ(lines_read() - after_add, 1u);
+}
+
 // --- Filtered dump pushdown -------------------------------------------------
 
 TEST_F(ExploreTest, DumpRangeAndKindFiltersSkipSegmentsAndBlocks) {
