@@ -5,10 +5,13 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <new>
 #include <optional>
+#include <string_view>
 #include <vector>
 
 #include "eventstore/codecs.h"
@@ -545,14 +548,41 @@ void note_open_metrics(const char* mode, std::size_t bytes) {
 
 }  // namespace
 
+constexpr std::string_view kRunSuffix = ".dgtrace";
+
 std::string run_file_path(const std::string& dir,
                           const std::string& workload) {
-  return dir + "/" + workload + ".dgtrace";
+  return dir + "/" + workload + std::string(kRunSuffix);
 }
 
 std::string heartbeat_file_path(const std::string& dir,
                                 const std::string& workload) {
   return dir + "/" + workload + ".heartbeat.jsonl";
+}
+
+std::vector<std::string> list_run_files(const std::string& path) {
+  namespace fs = std::filesystem;
+  std::error_code ec;
+  if (fs::is_regular_file(path, ec)) return {path};
+  std::vector<std::string> files;
+  for (const auto& entry : fs::directory_iterator(
+           path, fs::directory_options::skip_permission_denied, ec)) {
+    if (!entry.is_regular_file(ec)) continue;
+    const std::string name = entry.path().filename().string();
+    if (name.size() > kRunSuffix.size() && name.ends_with(kRunSuffix)) {
+      files.push_back(entry.path().string());
+    }
+  }
+  std::sort(files.begin(), files.end());
+  return files;
+}
+
+std::string run_stem(const std::string& path) {
+  std::string stem = std::filesystem::path(path).filename().string();
+  if (stem.size() > kRunSuffix.size() && stem.ends_with(kRunSuffix)) {
+    stem.resize(stem.size() - kRunSuffix.size());
+  }
+  return stem;
 }
 
 void save_run(const std::string& path, const TraceRun& run) {

@@ -112,6 +112,12 @@ std::string run_file_path(const std::string& dir,
 // The heartbeat JSONL stream written next to the run file.
 std::string heartbeat_file_path(const std::string& dir,
                                 const std::string& workload);
+// The run files `path` names: `path` itself when it is a regular file,
+// else the *.dgtrace files directly inside that directory, sorted. A
+// missing or unreadable directory names none.
+std::vector<std::string> list_run_files(const std::string& path);
+// A run file's workload name: its basename without ".dgtrace".
+std::string run_stem(const std::string& path);
 
 // One-shot save controls. The file holds the save layout
 // (chunk_codec.h): one chunk per kSegmentRows resident rows, a pure

@@ -81,23 +81,8 @@ Service::~Service() = default;
 
 std::vector<std::string> Service::discover() const {
   std::vector<std::string> names;
-  std::error_code ec;
-  if (fs::is_regular_file(opts_.root, ec)) {
-    std::string stem = fs::path(opts_.root).filename().string();
-    if (stem.size() > kRunSuffix.size() &&
-        stem.ends_with(kRunSuffix)) {
-      stem.resize(stem.size() - kRunSuffix.size());
-    }
-    names.push_back(stem);
-    return names;
-  }
-  for (const auto& entry : fs::directory_iterator(
-           opts_.root, fs::directory_options::skip_permission_denied, ec)) {
-    if (!entry.is_regular_file(ec)) continue;
-    const std::string file = entry.path().filename().string();
-    if (file.size() > kRunSuffix.size() && file.ends_with(kRunSuffix)) {
-      names.push_back(file.substr(0, file.size() - kRunSuffix.size()));
-    }
+  for (const std::string& path : evstore::list_run_files(opts_.root)) {
+    names.push_back(evstore::run_stem(path));
   }
   std::sort(names.begin(), names.end());
   return names;

@@ -1,12 +1,12 @@
 #include "hub/client.h"
 
 #include <cstdlib>
-#include <filesystem>
 #include <fstream>
 #include <optional>
 #include <string_view>
 #include <vector>
 
+#include "eventstore/run_io.h"
 #include "support/error.h"
 
 namespace diog::hub {
@@ -97,15 +97,7 @@ HubResponse push_bytes(const unsigned char* data, std::size_t n,
 }
 
 HubResponse push_run_file(const std::string& path, ClientOptions opts) {
-  if (opts.workload.empty()) {
-    std::string stem = std::filesystem::path(path).filename().string();
-    const std::string ext = ".dgtrace";
-    if (stem.size() > ext.size() &&
-        stem.compare(stem.size() - ext.size(), ext.size(), ext) == 0) {
-      stem.resize(stem.size() - ext.size());
-    }
-    opts.workload = stem;
-  }
+  if (opts.workload.empty()) opts.workload = evstore::run_stem(path);
   std::ifstream in(path, std::ios::binary);
   DIOG_CHECK(in.good(), "cannot open run file: " + path);
   std::vector<unsigned char> buf;
