@@ -132,6 +132,9 @@ void Telemetry::set_exit_flush(const std::string& path) {
   g_exit_path = path;
   if (!g_exit_hooks_installed) {
     g_exit_hooks_installed = true;
+    // Construct the session before registering the hook: statics die in
+    // reverse order of registration, so the flush runs while it lives.
+    global();
     std::atexit(flush_on_exit);
     g_prev_terminate = std::set_terminate(flush_on_terminate);
   }

@@ -9,6 +9,7 @@
 #include <sys/mman.h>
 
 #include <chrono>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -703,6 +704,26 @@ TEST(ObsTelemetry, ExitFlushWritesRegisteredPathOnce) {
   Telemetry::flush_exit_files();
   EXPECT_FALSE(std::filesystem::exists(path));
   t.reset();
+}
+
+// An embedder may register the exit flush before anything touches the
+// session; the flush must still find the session alive at exit. The
+// parent process never touches it, so the child starts without one.
+TEST(ObsTelemetryDeathTest, ExitFlushRegisteredBeforeTheSessionWrites) {
+  if (!kCompiledIn) GTEST_SKIP() << "export compiled out";
+  const auto path =
+      std::filesystem::temp_directory_path() / "diog_exit_flush_first.jsonl";
+  std::filesystem::remove(path);
+  EXPECT_EXIT(
+      {
+        Telemetry::set_exit_flush(path.string());
+        Telemetry::global().set_enabled(true);
+        Telemetry::global().metrics().counter("exit.first").inc();
+        std::exit(0);
+      },
+      testing::ExitedWithCode(0), "");
+  EXPECT_TRUE(std::filesystem::exists(path));
+  std::filesystem::remove(path);
 }
 
 TEST(ObsSchema, SchemaIdIsVersionedAndNamespaced) {
