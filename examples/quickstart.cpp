@@ -18,6 +18,7 @@
 #include "core/report.h"
 #include "gpusim/api.h"
 #include "gpusim/host_buffer.h"
+#include "obs/telemetry.h"
 #include "support/strings.h"
 #include "trace/callstack.h"
 
@@ -84,8 +85,9 @@ int main() {
   workload.body = MyApp{};
 
   // Run all five FFM stages. No interaction is needed between stages.
+  // Narrate the stages on stderr.
+  obs::Telemetry::global().logger().set_level(obs::LogLevel::kInfo);
   ffm::ToolConfig config;
-  config.verbose = true;  // narrate the stages on stderr
   ffm::Diogenes tool(workload, config);
   const ffm::AnalysisResult result = tool.analyze();
 

@@ -91,12 +91,7 @@ AnalysisResult run_analysis(const evstore::TraceRun& run,
 
 AnalysisResult Diogenes::analyze() {
   DIOG_SPAN("ffm.analyze");
-  // Back-compat: `cfg.verbose` raises the log level to info for the
-  // duration of the run if the embedder has not already done so.
   obs::Logger& log = obs::Telemetry::global().logger();
-  if (cfg_.verbose && !log.enabled(obs::LogLevel::kInfo)) {
-    log.set_level(obs::LogLevel::kInfo);
-  }
 
   // One run accumulates everything the four collection stages observe.
   evstore::TraceRun run;

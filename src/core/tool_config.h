@@ -44,7 +44,6 @@ struct ToolConfig {
   // in the binary format of eventstore/run_io.h) is saved here as
   // <dir>/<workload>.dgtrace after collection finishes.
   std::string trace_dir;
-  bool verbose = false;
 
   // --- Flight recorder (live monitoring) ----------------------------------
   // Ring retention bounds on the in-memory event store; 0 = unbounded.
