@@ -107,11 +107,17 @@ assert doc["schema"] == "diogenes.history.v1", doc
 assert doc["runs"] == 2, doc
 '
 
-# 3. A run streamed live through the seal-callback sink, never touching
-#    the local disk on the producer side.
-"$DIOGENES" --sink "tcp://127.0.0.1:$HUB_PORT" cumf_als overview \
-  > /dev/null
+# 3. A run streamed live through the seal-callback sink (--sink acts only
+#    with --live). The hub archives the finished stream as one run.
+"$DIOGENES" --live --trace-dir "$SCRATCH/live" \
+  --sink "tcp://127.0.0.1:$HUB_PORT" cumf_als overview > /dev/null
 hub_alive "after --sink stream"
+fetch "/api/history?workload=cumf_als&px=64" | python3 -c '
+import json, sys
+doc = json.load(sys.stdin)
+assert doc["schema"] == "diogenes.history.v1", doc
+assert doc["runs"] == 1, doc
+'
 
 # 4. The hostile suite: every corpus and regression shape, pushed as-is.
 #    Finalized shapes archive; torn and malformed shapes must be refused
