@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <map>
 #include <memory>
 
 #include "apps/apps.h"
@@ -13,6 +14,8 @@
 #include "support/error.h"
 #include "gpusim/api.h"
 #include "gpusim/host_buffer.h"
+#include "hashing/content_hash.h"
+#include "testkit/synth_run.h"
 #include "trace/callstack.h"
 
 namespace diog::ffm {
@@ -253,18 +256,47 @@ TEST(DiogenesDriver, CleanWorkloadReportsNothing) {
   EXPECT_LT(r.benefit.total, ms(1));
 }
 
+// The hash of an export with every stage3.syncs[*].access_ip zeroed.
+// access_ip is a code offset into the binary, so it moves whenever the
+// code does; every other byte is the same in every build type and with
+// or without the obs subsystem.
+hash::Digest masked_export_hash(const AnalysisResult& r) {
+  json::Value v = export_json(r);
+  for (json::Value& s : v["stage3"]["syncs"].as_array()) s["access_ip"] = 0;
+  const std::string text = v.dump();
+  return hash::hash64(std::as_bytes(std::span(text.data(), text.size())));
+}
+
+// Pins every byte of the export (the stage sections included) for the
+// four pathological apps and a 50K-event synthetic run.
+TEST(ExportJson, StageSectionsArePinned) {
+  const std::map<std::string, hash::Digest> pinned = {
+      {"cumf_als", 0x75afaef59483095cull},
+      {"cuIBM", 0x9c4cb510a1da5bf0ull},
+      {"AMG", 0x41b772b8d0e99843ull},
+      {"Rodinia", 0x75776210777498caull},
+      {"synth_50k", 0x8e0e86beaf6c9384ull},
+  };
+  for (const apps::AppPair& app : apps::all_apps()) {
+    EXPECT_EQ(masked_export_hash(Diogenes(app.pathological).analyze()),
+              pinned.at(app.name))
+        << app.name;
+  }
+  testkit::SynthRunOptions opts;
+  opts.events = 50'000;
+  EXPECT_EQ(masked_export_hash(
+                run_analysis(testkit::make_synthetic_run(opts), ToolConfig{})),
+            pinned.at("synth_50k"));
+}
+
 // export_json builds its stage sections from the run on demand (the
-// analysis keeps no per-stage copy): each section must be exactly the
-// stage's view of the run, and a save/open round trip of that run must
-// export the same bytes.
+// analysis keeps no per-stage copy), and a save/open round trip of that
+// run must export the same bytes.
 TEST(ExportJson, StageSectionsAreRunViewsAndSurviveReopen) {
   apps::CumfAlsConfig app_cfg;
   app_cfg.iterations = 4;
   const AnalysisResult r = Diogenes(apps::make_cumf_als(app_cfg)).analyze();
   const json::Value v = export_json(r);
-  EXPECT_EQ(v.at("stage1"), stage1_view(r.run).to_json());
-  EXPECT_EQ(v.at("stage3"), stage3_view(r.run).to_json());
-  EXPECT_EQ(v.at("stage4"), stage4_view(r.run).to_json());
   EXPECT_GT(v.at("stage1").at("sync_sites").size(), 0u);
   EXPECT_GT(v.at("stage3").at("syncs").size(), 0u);
   EXPECT_GT(v.at("stage4").at("uses").size(), 0u);
