@@ -10,8 +10,10 @@
 //      instrumentation vs stage-4's light re-run — why FFM pays for a
 //      fourth execution.
 #include "bench_common.h"
+#include "core/run_convert.h"
 #include "core/stage1_baseline.h"
 #include "core/stage4_syncuse.h"
+#include "eventstore/cursor.h"
 #include "gpusim/api.h"
 #include "gpusim/host_buffer.h"
 
@@ -101,26 +103,38 @@ int main() {
 
     const ffm::ToolConfig cfg;
     const ffm::Stage1Result s1 = ffm::run_stage1(w, cfg);
+    // The first-use gap of the one required sync, as a stage-4 run under
+    // `stage_cfg` measures it.
+    const auto first_use = [&](const ffm::ToolConfig& stage_cfg) {
+      evstore::TraceRun run;
+      ffm::append_stage1(run, s1);
+      ffm::collect_stage4(w, stage_cfg, run);
+      std::optional<Duration> gap;
+      evstore::sync_uses(*run.store).for_each([&](const evstore::Event& e) {
+        if (!gap) gap = Duration{e.aux_time};
+      });
+      return gap;
+    };
 
     // Stage 4 as shipped (light instrumentation).
-    const ffm::Stage4Result light = ffm::run_stage4(w, cfg, s1);
+    const std::optional<Duration> light = first_use(cfg);
 
     // The counterfactual: take first-use timing from the heavy stage-3
     // configuration (what a 4-stage-in-3-runs design would do).
     ffm::ToolConfig heavy_cfg = cfg;
     heavy_cfg.stage4_cpu_dilation = cfg.stage3_cpu_dilation;
     heavy_cfg.stage4_probe_cost = cfg.stage3_probe_cost;
-    const ffm::Stage4Result heavy = ffm::run_stage4(w, heavy_cfg, s1);
+    const std::optional<Duration> heavy = first_use(heavy_cfg);
 
     std::printf("\ntrue first-use gap:                      %s\n",
                 format_seconds(ms(4)).c_str());
-    if (!light.uses.empty()) {
+    if (light) {
       std::printf("measured in a light stage-4 run:         %s\n",
-                  format_seconds(light.uses[0].first_use_time).c_str());
+                  format_seconds(*light).c_str());
     }
-    if (!heavy.uses.empty()) {
+    if (heavy) {
       std::printf("measured under stage-3-weight collection: %s\n",
-                  format_seconds(heavy.uses[0].first_use_time).c_str());
+                  format_seconds(*heavy).c_str());
     }
     std::printf("\nHeavy instrumentation dilates the very gap being\n"
                 "measured — the reason FFM pays for a separate, lightly\n"

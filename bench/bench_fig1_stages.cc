@@ -15,6 +15,7 @@
 #include "core/stage2_tracing.h"
 #include "core/stage3_memhash.h"
 #include "core/stage4_syncuse.h"
+#include "eventstore/cursor.h"
 #include "gpusim/api.h"
 #include "gpusim/host_buffer.h"
 #include "trace/callstack.h"
@@ -31,9 +32,13 @@ void figure1_walkthrough() {
   cfg.iterations = 20;
   const ffm::Workload w = apps::make_cumf_als(cfg);
   const ffm::ToolConfig tool_cfg;
+  evstore::TraceRun run;
+  run.meta.workload = w.name;
+  const evstore::EventStore& store = *run.store;
 
   std::printf("\n[run 1] Stage 1 — Baseline Measurement\n");
   const ffm::Stage1Result s1 = ffm::run_stage1(w, tool_cfg);
+  ffm::append_stage1(run, s1);
   std::printf("  wait function discovered by probe: %s\n",
               std::string(hooks::fn_name(s1.wait_fn)).c_str());
   std::printf("  application execution time: %s\n",
@@ -43,41 +48,46 @@ void figure1_walkthrough() {
   std::printf("  -> feeds forward: the list of functions to trace\n");
 
   std::printf("\n[run 2] Stage 2 — Detailed Tracing\n");
-  const ffm::Stage2Result s2 = ffm::run_stage2(w, tool_cfg, s1);
+  ffm::collect_stage2(w, tool_cfg, s1, run);
   std::size_t syncs = 0, transfers = 0;
   Duration wait_total{0};
-  for (const auto& op : s2.ops) {
-    if (op.performed_sync) ++syncs;
-    if (op.performed_transfer) ++transfers;
-    wait_total += op.sync_wait;
-  }
+  evstore::ops(store).for_each([&](const evstore::Event& e) {
+    if (e.has(evstore::flag::kPerformedSync)) ++syncs;
+    if (e.has(evstore::flag::kPerformedTransfer)) ++transfers;
+    wait_total += Duration{e.aux_time};
+  });
   std::printf("  traced calls: %zu (%zu syncs, %zu transfers), total "
               "blocked time %s\n",
-              s2.ops.size(), syncs, transfers,
-              format_seconds(wait_total).c_str());
+              static_cast<std::size_t>(store.count_of(evstore::EventKind::kOp)),
+              syncs, transfers, format_seconds(wait_total).c_str());
   std::printf("  -> feeds forward: per-call timing + stacks\n");
 
   std::printf("\n[run 3] Stage 3 — Memory Tracing and Data Hashing\n");
-  const ffm::Stage3Result s3 = ffm::run_stage3(w, tool_cfg, s1);
-  std::size_t required = 0;
-  for (const auto& c : s3.syncs) required += c.required ? 1 : 0;
+  ffm::collect_stage3(w, tool_cfg, run);
+  std::size_t classified = 0, required = 0;
+  evstore::sync_classifications(store).for_each([&](const evstore::Event& e) {
+    ++classified;
+    if (e.has(evstore::flag::kSyncRequired)) ++required;
+  });
   std::printf("  sync classifications: %zu (%zu required, %zu "
               "unnecessary)\n",
-              s3.syncs.size(), required, s3.syncs.size() - required);
+              classified, required, classified - required);
   std::printf("  transfers hashed: %llu (%s); duplicates: %zu\n",
-              static_cast<unsigned long long>(s3.transfers_hashed),
-              format_bytes(s3.bytes_hashed).c_str(),
-              s3.duplicate_transfers.size());
+              static_cast<unsigned long long>(run.meta.transfers_hashed),
+              format_bytes(run.meta.bytes_hashed).c_str(),
+              static_cast<std::size_t>(
+                  store.count_of(evstore::EventKind::kDuplicateTransfer)));
   std::printf("  -> feeds forward: problem classification + access sites\n");
 
   std::printf("\n[run 4] Stage 4 — Sync-Use Analysis\n");
-  const ffm::Stage4Result s4 = ffm::run_stage4(w, tool_cfg, s1);
-  std::printf("  sync-to-first-use gaps measured: %zu\n", s4.uses.size());
+  ffm::collect_stage4(w, tool_cfg, run);
+  std::printf("  sync-to-first-use gaps measured: %zu\n",
+              static_cast<std::size_t>(
+                  store.count_of(evstore::EventKind::kSyncUse)));
   std::printf("  -> feeds forward: FirstUseTime per required sync\n");
 
   std::printf("\n[no run] Stage 5 — Analysis\n");
-  const ffm::AnalysisResult r =
-      ffm::run_analysis(ffm::build_run(w.name, s1, s2, s3, s4), tool_cfg);
+  const ffm::AnalysisResult r = ffm::run_analysis(run, tool_cfg);
   std::printf("  graph: %zu CPU nodes; problematic: %zu\n",
               r.graph.size(), r.graph.problematic_indices().size());
   std::printf("  expected benefit: %s (%s) -> sorted report + JSON\n",
@@ -123,19 +133,22 @@ void figure2_walkthrough() {
     };
 
     const ffm::ToolConfig cfg;
-    const ffm::Stage1Result s1 = ffm::run_stage1(w, cfg);
-    const ffm::Stage3Result s3 = ffm::run_stage3(w, cfg, s1);
+    evstore::TraceRun run;
+    ffm::append_stage1(run, ffm::run_stage1(w, cfg));
+    ffm::collect_stage3(w, cfg, run);
     std::printf("\nvariant: %s\n", w.name.c_str());
-    for (const auto& c : s3.syncs) {
+    evstore::sync_classifications(*run.store).for_each([&](const evstore::Event& e) {
+      const bool required = e.has(evstore::flag::kSyncRequired);
       std::printf("  sync op #%llu: %s",
-                  static_cast<unsigned long long>(c.op_index),
-                  c.required ? "REQUIRED for correctness" : "unnecessary");
-      if (c.required && c.access_stack.leaf() != nullptr) {
+                  static_cast<unsigned long long>(e.op_index),
+                  required ? "REQUIRED for correctness" : "unnecessary");
+      const trace::StackTrace access = run.store->stack_trace(e.aux_stack);
+      if (required && access.leaf() != nullptr) {
         std::printf("  (step 3: access stored at %s)",
-                    c.access_stack.leaf()->pretty().c_str());
+                    access.leaf()->pretty().c_str());
       }
       std::printf("\n");
-    }
+    });
   };
 
   run_variant(true);

@@ -30,12 +30,14 @@ void run_pipeline() {
   app_cfg.iterations = 20;
   const ffm::Workload w = apps::make_cumf_als(app_cfg);
   const ffm::ToolConfig tool_cfg;
+  evstore::TraceRun run;
+  run.meta.workload = w.name;
   const ffm::Stage1Result s1 = ffm::run_stage1(w, tool_cfg);
-  const ffm::Stage2Result s2 = ffm::run_stage2(w, tool_cfg, s1);
-  const ffm::Stage3Result s3 = ffm::run_stage3(w, tool_cfg, s1);
-  const ffm::Stage4Result s4 = ffm::run_stage4(w, tool_cfg, s1);
-  const ffm::AnalysisResult r =
-      ffm::run_analysis(ffm::build_run(w.name, s1, s2, s3, s4), tool_cfg);
+  ffm::append_stage1(run, s1);
+  ffm::collect_stage2(w, tool_cfg, s1, run);
+  ffm::collect_stage3(w, tool_cfg, run);
+  ffm::collect_stage4(w, tool_cfg, run);
+  const ffm::AnalysisResult r = ffm::run_analysis(run, tool_cfg);
   if (r.graph.size() == 0) std::printf("unexpected empty graph\n");
 }
 

@@ -14,9 +14,11 @@
 //     brings it back. FFM's stage 1 records the site and stage 2 traces
 //     every occurrence on the next run.
 #include "bench_common.h"
+#include "core/run_convert.h"
 #include "core/single_run.h"
 #include "core/stage1_baseline.h"
 #include "core/stage2_tracing.h"
+#include "eventstore/cursor.h"
 #include "gpusim/api.h"
 #include "trace/callstack.h"
 
@@ -61,15 +63,17 @@ void compare(const ffm::Workload& w) {
 
   // FFM: stage 1 discovers, stage 2 traces everything on a second run.
   const ffm::Stage1Result s1 = ffm::run_stage1(w, cfg);
-  const ffm::Stage2Result s2 = ffm::run_stage2(w, cfg, s1);
+  evstore::TraceRun run;
+  ffm::append_stage1(run, s1);
+  ffm::collect_stage2(w, cfg, s1, run);
   Duration ffm_wait{0};
   std::size_t ffm_syncs = 0;
-  for (const ffm::OpRecord& op : s2.ops) {
-    if (op.performed_sync) {
+  evstore::ops(*run.store).for_each([&](const evstore::Event& e) {
+    if (e.has(evstore::flag::kPerformedSync)) {
       ++ffm_syncs;
-      ffm_wait += op.sync_wait;
+      ffm_wait += Duration{e.aux_time};
     }
-  }
+  });
   Duration sr_wait{0};
   for (const ffm::OpRecord& op : sr.ops) sr_wait += op.sync_wait;
 

@@ -8,11 +8,10 @@
 // transfer that first moved the same bytes.
 #include <cstdio>
 #include <memory>
+#include <vector>
 
 #include "core/diogenes.h"
-#include "core/stage1_baseline.h"
-#include "core/stage2_tracing.h"
-#include "core/stage3_memhash.h"
+#include "eventstore/cursor.h"
 #include "gpusim/api.h"
 #include "gpusim/host_buffer.h"
 #include "support/strings.h"
@@ -85,34 +84,39 @@ int main() {
   w.device = gpusim::DeviceConfig{};
   w.body = FrameLoop{};
 
-  const ffm::ToolConfig cfg;
-  const ffm::Stage1Result s1 = ffm::run_stage1(w, cfg);
-  const ffm::Stage2Result s2 = ffm::run_stage2(w, cfg, s1);
-  const ffm::Stage3Result s3 = ffm::run_stage3(w, cfg, s1);
+  // One analysis collects all four stages into its run; the listing
+  // reads stage 3's hashing results back out of that run.
+  const ffm::AnalysisResult r = ffm::Diogenes(w).analyze();
+  const evstore::EventStore& store = *r.run.store;
 
   std::printf("transfers hashed: %llu (%s)\n",
-              static_cast<unsigned long long>(s3.transfers_hashed),
-              format_bytes(s3.bytes_hashed).c_str());
-  std::printf("duplicates found: %zu\n\n", s3.duplicate_transfers.size());
+              static_cast<unsigned long long>(r.run.meta.transfers_hashed),
+              format_bytes(r.run.meta.bytes_hashed).c_str());
+  std::printf("duplicates found: %zu\n\n",
+              static_cast<std::size_t>(
+                  store.count_of(evstore::EventKind::kDuplicateTransfer)));
+
+  // Each traced op's stack, by op index.
+  std::vector<evstore::StackId> op_stacks;
+  evstore::ops(store).for_each(
+      [&](const evstore::Event& e) { op_stacks.push_back(e.stack); });
 
   // Group duplicates by the site of the duplicate call.
   std::printf("%-34s %-12s %s\n", "duplicate transfer at", "bytes",
               "first moved by op#");
-  for (const ffm::DuplicateTransfer& d : s3.duplicate_transfers) {
-    const ffm::OpRecord& op = s2.ops[d.op_index];
-    const trace::Frame* leaf = op.stack.leaf();
+  evstore::duplicate_transfers(store).for_each([&](const evstore::Event& d) {
+    const trace::StackTrace stack = store.stack_trace(op_stacks[d.op_index]);
+    const trace::Frame* leaf = stack.leaf();
     std::printf("%-34s %-12s %llu\n",
                 (leaf != nullptr
                      ? leaf->file + ":" + std::to_string(leaf->line)
                      : std::string("?"))
                     .c_str(),
                 format_bytes(d.bytes).c_str(),
-                static_cast<unsigned long long>(d.first_op_index));
-  }
+                static_cast<unsigned long long>(d.link));
+  });
 
   // The benefit estimate prices what removing the duplicates would save.
-  ffm::Diogenes tool(w, cfg);
-  const ffm::AnalysisResult r = tool.analyze();
   std::printf("\nestimated benefit of removing duplicate transfers: %s "
               "(%s of execution)\n",
               format_seconds(r.benefit.transfer_benefit).c_str(),

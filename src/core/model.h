@@ -1,11 +1,11 @@
 // Shared data model of the FFM stages.
 //
-// These structs are *views*: the source of truth for a run is the
-// unified columnar store (eventstore/run.h) that every collection stage
-// appends into, and stageN_view() (core/run_convert.h) materializes
-// these value types from it on demand. The saved .dgtrace run is the
-// only interchange format; to_json() exists for the stage sections of
-// export_json (stages 1, 3 and 4).
+// The source of truth for a run is the unified columnar store
+// (eventstore/run.h) that every collection stage appends into. Stage1Result
+// is stage 1's product and the input of stages 2-4; the other stage
+// structs are read-only views that stageN_view() (core/run_convert.h)
+// materializes from the run. export_json renders its stage sections
+// straight from the run's metadata and cursors, not from these structs.
 #pragma once
 
 #include <cstdint>
@@ -37,8 +37,6 @@ struct SyncSite {
   hooks::Fn api;
   trace::StackTrace stack;
   std::uint64_t hits = 0;
-
-  [[nodiscard]] json::Value to_json() const;
 };
 
 struct Stage1Result {
@@ -51,8 +49,6 @@ struct Stage1Result {
   // function seen synchronizing, the documented transfer functions, and
   // the explicit sync entry points.
   [[nodiscard]] std::vector<hooks::Fn> traced_fns() const;
-
-  [[nodiscard]] json::Value to_json() const;
 };
 
 // --- Stage 2: Detailed Tracing ----------------------------------------------
@@ -96,8 +92,6 @@ struct SyncClassification {
   // contains it (0 when none does), so it is the same in every process.
   trace::StackTrace access_stack;
   std::uint64_t access_ip = 0;
-
-  [[nodiscard]] json::Value to_json() const;
 };
 
 // One duplicate transfer detected by content hashing.
@@ -106,8 +100,6 @@ struct DuplicateTransfer {
   std::uint64_t first_op_index = 0;  // where the content first moved
   hash::Digest digest = 0;
   std::uint64_t bytes = 0;
-
-  [[nodiscard]] json::Value to_json() const;
 };
 
 struct Stage3Result {
@@ -116,8 +108,6 @@ struct Stage3Result {
   std::vector<DuplicateTransfer> duplicate_transfers;
   std::uint64_t transfers_hashed = 0;
   std::uint64_t bytes_hashed = 0;
-
-  [[nodiscard]] json::Value to_json() const;
 };
 
 // --- Stage 4: Sync-Use Analysis ------------------------------------------------
@@ -125,18 +115,14 @@ struct Stage3Result {
 struct SyncUse {
   std::uint64_t op_index = 0;
   Duration first_use_time{0};
-
-  [[nodiscard]] json::Value to_json() const;
 };
 
 struct Stage4Result {
   Duration exec_time{0};
   std::vector<SyncUse> uses;
-
-  [[nodiscard]] json::Value to_json() const;
 };
 
-// --- JSON helpers shared by the stage types ---------------------------------
+// --- JSON helper shared by the reports ---------------------------------------
 
 json::Value duration_to_json(Duration d);
 

@@ -4,7 +4,6 @@
 #include <cstdio>
 
 #include "core/diagnosis.h"
-#include "core/run_convert.h"
 #include "eventstore/cursor.h"
 #include "eventstore/run_format.h"
 #include "support/clock.h"
@@ -42,6 +41,76 @@ std::string overview(const AnalysisResult& r, std::size_t max_entries,
   }
   out += "  Back/Previous\n  Exit\n";
   return out;
+}
+
+namespace ev = evstore;
+
+json::Value stage1_json(const ev::TraceRun& run) {
+  const ev::EventStore& store = *run.store;
+  json::Object o;
+  o["wait_fn"] = static_cast<std::int64_t>(run.meta.wait_fn);
+  o["wait_fn_name"] = run.meta.wait_fn == hooks::Fn::kCount_
+                          ? std::string("(undiscovered)")
+                          : std::string(hooks::fn_name(run.meta.wait_fn));
+  o["exec_time_ns"] = duration_to_json(run.meta.s1_exec);
+  json::Array sites;
+  sites.reserve(store.count_of(ev::EventKind::kSyncSite));
+  ev::sync_sites(store).for_each([&](const ev::Event& e) {
+    json::Object s;
+    s["api"] = static_cast<std::int64_t>(e.fn());
+    s["api_name"] = std::string(hooks::fn_name(e.fn()));
+    s["stack"] = store.stack_trace(e.stack).to_json();
+    s["hits"] = e.value;
+    sites.emplace_back(std::move(s));
+  });
+  o["sync_sites"] = std::move(sites);
+  return json::Value(std::move(o));
+}
+
+json::Value stage3_json(const ev::TraceRun& run) {
+  const ev::EventStore& store = *run.store;
+  json::Object o;
+  o["exec_time_ns"] = duration_to_json(run.meta.s3_exec);
+  json::Array syncs;
+  syncs.reserve(store.count_of(ev::EventKind::kSyncClassification));
+  ev::sync_classifications(store).for_each([&](const ev::Event& e) {
+    json::Object s;
+    s["op_index"] = e.op_index;
+    s["required"] = e.has(ev::flag::kSyncRequired);
+    s["access_stack"] = store.stack_trace(e.aux_stack).to_json();
+    s["access_ip"] = static_cast<std::int64_t>(e.value);
+    syncs.emplace_back(std::move(s));
+  });
+  o["syncs"] = std::move(syncs);
+  json::Array dups;
+  dups.reserve(store.count_of(ev::EventKind::kDuplicateTransfer));
+  ev::duplicate_transfers(store).for_each([&](const ev::Event& e) {
+    json::Object d;
+    d["op_index"] = e.op_index;
+    d["first_op_index"] = e.link;
+    d["digest"] = e.value;
+    d["bytes"] = e.bytes;
+    dups.emplace_back(std::move(d));
+  });
+  o["duplicate_transfers"] = std::move(dups);
+  o["transfers_hashed"] = run.meta.transfers_hashed;
+  o["bytes_hashed"] = run.meta.bytes_hashed;
+  return json::Value(std::move(o));
+}
+
+json::Value stage4_json(const ev::TraceRun& run) {
+  json::Object o;
+  o["exec_time_ns"] = duration_to_json(run.meta.s4_exec);
+  json::Array uses;
+  uses.reserve(run.store->count_of(ev::EventKind::kSyncUse));
+  ev::sync_uses(*run.store).for_each([&](const ev::Event& e) {
+    json::Object u;
+    u["op_index"] = e.op_index;
+    u["first_use_time_ns"] = duration_to_json(Duration{e.aux_time});
+    uses.emplace_back(std::move(u));
+  });
+  o["uses"] = std::move(uses);
+  return json::Value(std::move(o));
 }
 
 }  // namespace
@@ -127,10 +196,10 @@ json::Value export_json(const AnalysisResult& r) {
   o["collection_time_ns"] = duration_to_json(r.collection_time);
   o["overhead_factor"] = r.overhead_factor;
   // The stage sections are small (sync sites, classifications, first
-  // uses) and built from the run on demand; the analysis keeps no copy.
-  o["stage1"] = stage1_view(r.run).to_json();
-  o["stage3"] = stage3_view(r.run).to_json();
-  o["stage4"] = stage4_view(r.run).to_json();
+  // uses) and rendered from the run; the analysis keeps no copy.
+  o["stage1"] = stage1_json(r.run);
+  o["stage3"] = stage3_json(r.run);
+  o["stage4"] = stage4_json(r.run);
   o["total_benefit_ns"] = duration_to_json(r.benefit.total);
   o["sync_benefit_ns"] = duration_to_json(r.benefit.sync_benefit);
   o["transfer_benefit_ns"] = duration_to_json(r.benefit.transfer_benefit);
@@ -158,7 +227,6 @@ json::Value export_json(const AnalysisResult& r) {
 }
 
 std::string render_run_stat(const evstore::TraceRun& run) {
-  namespace ev = evstore;
   const ev::EventStore& store = *run.store;
   std::string out;
   out += "Run: " + run.meta.workload + "\n";
@@ -271,7 +339,6 @@ std::string render_watch_rates(std::uint64_t d_events,
 
 std::string render_event_line(const evstore::EventStore& store,
                               const evstore::Event& e) {
-  namespace ev = evstore;
   std::string line = "[" + std::string(ev::to_string(e.kind)) + "]";
   if (e.api != static_cast<std::uint16_t>(hooks::Fn::kCount_)) {
     line += " " + std::string(hooks::fn_name(e.fn()));
@@ -325,7 +392,6 @@ std::string render_event_line(const evstore::EventStore& store,
 
 json::Object event_json(const evstore::EventStore& store,
                         const evstore::Event& e) {
-  namespace ev = evstore;
   json::Object o;
   o["kind"] = std::string(ev::to_string(e.kind));
   if (e.api != static_cast<std::uint16_t>(hooks::Fn::kCount_)) {
@@ -359,7 +425,6 @@ std::string render_run_dump(const evstore::TraceRun& run,
 
 std::string render_run_dump(const evstore::TraceRun& run,
                             const DumpOptions& opts, DumpStats* stats) {
-  namespace ev = evstore;
   const ev::EventStore& store = *run.store;
   ev::Cursor cursor(store);
   if (!opts.kind.empty()) {

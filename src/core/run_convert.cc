@@ -21,77 +21,6 @@ void append_stage1(ev::TraceRun& run, const Stage1Result& s1) {
   }
 }
 
-void append_stage2(ev::TraceRun& run, const Stage2Result& s2) {
-  run.meta.s2_exec = s2.exec_time;
-  for (const OpRecord& op : s2.ops) {
-    ev::Event e;
-    e.kind = ev::EventKind::kOp;
-    e.set_fn(op.api);
-    e.stack = run.store->intern_stack(op.stack);
-    e.op_index = op.index;
-    e.t_start = op.t_enter.count();
-    e.t_end = op.t_exit.count();
-    e.aux_time = op.sync_wait.count();
-    e.gpu_time = op.gpu_op_duration.count();
-    e.bytes = op.bytes;
-    e.stream = op.stream;
-    e.set(ev::flag::kPerformedSync, op.performed_sync);
-    e.set(ev::flag::kPerformedTransfer, op.performed_transfer);
-    e.set(ev::flag::kAsyncRequested, op.async_requested);
-    e.set_direction(op.direction);
-    e.set_dst_mem(op.dst_mem);
-    e.set_src_mem(op.src_mem);
-    run.store->append(e);
-  }
-}
-
-void append_stage3(ev::TraceRun& run, const Stage3Result& s3) {
-  run.meta.s3_exec = s3.exec_time;
-  run.meta.transfers_hashed = s3.transfers_hashed;
-  run.meta.bytes_hashed = s3.bytes_hashed;
-  for (const SyncClassification& sc : s3.syncs) {
-    ev::Event e;
-    e.kind = ev::EventKind::kSyncClassification;
-    e.op_index = sc.op_index;
-    e.set(ev::flag::kSyncRequired, sc.required);
-    e.aux_stack = run.store->intern_stack(sc.access_stack);
-    e.value = sc.access_ip;
-    run.store->append(e);
-  }
-  for (const DuplicateTransfer& dt : s3.duplicate_transfers) {
-    ev::Event e;
-    e.kind = ev::EventKind::kDuplicateTransfer;
-    e.op_index = dt.op_index;
-    e.link = dt.first_op_index;
-    e.value = dt.digest;
-    e.bytes = dt.bytes;
-    run.store->append(e);
-  }
-}
-
-void append_stage4(ev::TraceRun& run, const Stage4Result& s4) {
-  run.meta.s4_exec = s4.exec_time;
-  for (const SyncUse& u : s4.uses) {
-    ev::Event e;
-    e.kind = ev::EventKind::kSyncUse;
-    e.op_index = u.op_index;
-    e.aux_time = u.first_use_time.count();
-    run.store->append(e);
-  }
-}
-
-ev::TraceRun build_run(const std::string& workload, const Stage1Result& s1,
-                       const Stage2Result& s2, const Stage3Result& s3,
-                       const Stage4Result& s4) {
-  ev::TraceRun run;
-  run.meta.workload = workload;
-  append_stage1(run, s1);
-  append_stage2(run, s2);
-  append_stage3(run, s3);
-  append_stage4(run, s4);
-  return run;
-}
-
 void append_internal_spans(ev::TraceRun& run) {
   if (!obs::Telemetry::enabled()) return;
   for (const obs::SpanRecord& sp :
@@ -109,26 +38,6 @@ void append_internal_spans(ev::TraceRun& run) {
 }
 
 // --- Event -> record ---------------------------------------------------------
-
-OpRecord op_from_event(const ev::EventStore& store, const ev::Event& e) {
-  OpRecord op;
-  op.index = e.op_index;
-  op.api = e.fn();
-  op.stack = store.stack_trace(e.stack);
-  op.t_enter = TimePoint{e.t_start};
-  op.t_exit = TimePoint{e.t_end};
-  op.sync_wait = Duration{e.aux_time};
-  op.performed_sync = e.has(ev::flag::kPerformedSync);
-  op.performed_transfer = e.has(ev::flag::kPerformedTransfer);
-  op.bytes = e.bytes;
-  op.direction = e.direction();
-  op.async_requested = e.has(ev::flag::kAsyncRequested);
-  op.dst_mem = e.dst_mem();
-  op.src_mem = e.src_mem();
-  op.stream = e.stream;
-  op.gpu_op_duration = Duration{e.gpu_time};
-  return op;
-}
 
 Stage1Result stage1_view(const ev::TraceRun& run) {
   Stage1Result s1;
@@ -148,7 +57,23 @@ Stage2Result stage2_view(const ev::TraceRun& run) {
   Stage2Result s2;
   s2.exec_time = run.meta.s2_exec;
   ev::ops(*run.store).for_each([&](const ev::Event& e) {
-    s2.ops.push_back(op_from_event(*run.store, e));
+    OpRecord op;
+    op.index = e.op_index;
+    op.api = e.fn();
+    op.stack = run.store->stack_trace(e.stack);
+    op.t_enter = TimePoint{e.t_start};
+    op.t_exit = TimePoint{e.t_end};
+    op.sync_wait = Duration{e.aux_time};
+    op.performed_sync = e.has(ev::flag::kPerformedSync);
+    op.performed_transfer = e.has(ev::flag::kPerformedTransfer);
+    op.bytes = e.bytes;
+    op.direction = e.direction();
+    op.async_requested = e.has(ev::flag::kAsyncRequested);
+    op.dst_mem = e.dst_mem();
+    op.src_mem = e.src_mem();
+    op.stream = e.stream;
+    op.gpu_op_duration = Duration{e.gpu_time};
+    s2.ops.push_back(std::move(op));
   });
   return s2;
 }

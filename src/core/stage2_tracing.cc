@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "core/run_convert.h"
 #include "core/stage_obs.h"
 #include "eventstore/cursor.h"
 #include "obs/span.h"
@@ -112,13 +111,6 @@ void collect_stage2(const Workload& w, const ToolConfig& cfg,
     });
     stage_obs.finish(rt, run.meta.s2_exec, s1.exec_time);
   }
-}
-
-Stage2Result run_stage2(const Workload& w, const ToolConfig& cfg,
-                        const Stage1Result& s1) {
-  ev::TraceRun run;
-  collect_stage2(w, cfg, s1, run);
-  return stage2_view(run);
 }
 
 }  // namespace diog::ffm

@@ -7,11 +7,13 @@
 
 namespace diog::ffm {
 
-Stage3Result run_stage3(const Workload& w, const ToolConfig& cfg,
-                        const Stage1Result& s1) {
+namespace ev = evstore;
+
+void collect_stage3(const Workload& w, const ToolConfig& cfg,
+                    ev::TraceRun& run) {
+  const Stage1Result s1 = stage1_view(run);
   DIOG_SPAN("stage3.run");
   const StageObs stage_obs("stage3");
-  Stage3Result result;
   gpusim::Runtime rt(w.device);
   rt.set_cpu_dilation(cfg.stage3_cpu_dilation);
   MemSyncEngine engine(rt, cfg, s1, /*hash_transfers=*/true);
@@ -20,46 +22,48 @@ Stage3Result run_stage3(const Workload& w, const ToolConfig& cfg,
     gpusim::RuntimeScope scope(rt);
     w.body();
     engine.finish();
-    result.exec_time = rt.clock().now();
+    run.meta.s3_exec = rt.clock().now();
   }
+  run.meta.transfers_hashed = engine.transfers_hashed();
+  run.meta.bytes_hashed = engine.bytes_hashed();
 
+  ev::EventStore& store = *run.store;
+  std::size_t required = 0;
   for (const MemSyncEngine::SyncObservation& obs : engine.syncs()) {
-    SyncClassification c;
-    c.op_index = obs.op_index;
-    c.required = obs.required;
-    c.access_stack = obs.access_stack;
-    c.access_ip = obs.access_ip;
-    result.syncs.push_back(std::move(c));
+    ev::Event e;
+    e.kind = ev::EventKind::kSyncClassification;
+    e.op_index = obs.op_index;
+    e.set(ev::flag::kSyncRequired, obs.required);
+    e.aux_stack = store.intern_stack(obs.access_stack);
+    e.value = obs.access_ip;
+    store.append(e);
+    if (obs.required) ++required;
   }
-  result.duplicate_transfers = engine.duplicates();
-  result.transfers_hashed = engine.transfers_hashed();
-  result.bytes_hashed = engine.bytes_hashed();
+  for (const DuplicateTransfer& dt : engine.duplicates()) {
+    ev::Event e;
+    e.kind = ev::EventKind::kDuplicateTransfer;
+    e.op_index = dt.op_index;
+    e.link = dt.first_op_index;
+    e.value = dt.digest;
+    e.bytes = dt.bytes;
+    store.append(e);
+  }
 
   if (obs::Telemetry::enabled()) {
     auto& m = obs::Telemetry::global().metrics();
     m.counter("stage3.runs").inc();
-    m.counter("stage3.transfers_hashed").inc(result.transfers_hashed);
-    m.counter("stage3.bytes_hashed").inc(result.bytes_hashed);
+    m.counter("stage3.transfers_hashed").inc(run.meta.transfers_hashed);
+    m.counter("stage3.bytes_hashed").inc(run.meta.bytes_hashed);
     const memtrace::TracerStats& tracer = engine.tracer_stats();
     m.counter("stage3.protect_calls").inc(tracer.protect_calls);
     m.counter("stage3.driver_lifts").inc(tracer.driver_lifts);
     m.counter("memtrace.ranges_unmapped").inc(tracer.ranges_unmapped);
-    m.counter("stage3.duplicate_transfers")
-        .inc(result.duplicate_transfers.size());
-    std::size_t required = 0;
-    for (const SyncClassification& c : result.syncs) {
-      if (c.required) ++required;
-    }
+    m.counter("stage3.duplicate_transfers").inc(engine.duplicates().size());
     m.counter("stage3.syncs_required").inc(required);
-    m.counter("stage3.syncs_unnecessary").inc(result.syncs.size() - required);
-    stage_obs.finish(rt, result.exec_time, s1.exec_time);
+    m.counter("stage3.syncs_unnecessary")
+        .inc(engine.syncs().size() - required);
+    stage_obs.finish(rt, run.meta.s3_exec, s1.exec_time);
   }
-  return result;
-}
-
-void collect_stage3(const Workload& w, const ToolConfig& cfg,
-                    evstore::TraceRun& run) {
-  append_stage3(run, run_stage3(w, cfg, stage1_view(run)));
 }
 
 }  // namespace diog::ffm

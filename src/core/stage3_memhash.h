@@ -8,19 +8,16 @@
 // perturbs timing — which is why FirstUseTime is re-measured in stage 4.
 #pragma once
 
-#include "core/model.h"
 #include "core/tool_config.h"
 #include "core/workload.h"
 #include "eventstore/run.h"
 
 namespace diog::ffm {
 
-Stage3Result run_stage3(const Workload& w, const ToolConfig& cfg,
-                        const Stage1Result& s1);
-
-// Run-carrier form: reads stage 1 back out of the run (kSyncSite
-// cursor), collects, and appends the kSyncClassification /
-// kDuplicateTransfer events plus the hashing totals into the run.
+// Reads stage 1 back out of the run (kSyncSite cursor), collects, and
+// appends the kSyncClassification events, then the kDuplicateTransfer
+// events, in the engine's order; the exec time and hashing totals go
+// into run.meta.
 void collect_stage3(const Workload& w, const ToolConfig& cfg,
                     evstore::TraceRun& run);
 

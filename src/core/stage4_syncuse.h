@@ -7,18 +7,15 @@
 // misplaced — it could be moved later, recovering CPU/GPU overlap.
 #pragma once
 
-#include "core/model.h"
 #include "core/tool_config.h"
 #include "core/workload.h"
 #include "eventstore/run.h"
 
 namespace diog::ffm {
 
-Stage4Result run_stage4(const Workload& w, const ToolConfig& cfg,
-                        const Stage1Result& s1);
-
-// Run-carrier form: reads stage 1 back out of the run, collects, and
-// appends the kSyncUse events into the run.
+// Reads stage 1 back out of the run, collects, and appends one kSyncUse
+// event per required sync in the engine's order; the exec time goes
+// into run.meta.
 void collect_stage4(const Workload& w, const ToolConfig& cfg,
                     evstore::TraceRun& run);
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "apps/apps.h"
+#include "core/run_convert.h"
 #include "core/stage1_baseline.h"
 #include "core/stage2_tracing.h"
 #include "core/stage3_memhash.h"
@@ -12,12 +13,31 @@ namespace diog::apps {
 namespace {
 
 using ffm::run_stage1;
-using ffm::run_stage2;
-using ffm::run_stage3;
 using ffm::run_uninstrumented;
 using ffm::Stage1Result;
 using ffm::ToolConfig;
 using hooks::Fn;
+
+// A run holding stage 1's product, as Diogenes::analyze starts one.
+evstore::TraceRun stage1_run(const Workload& w, const ToolConfig& cfg) {
+  evstore::TraceRun run;
+  ffm::append_stage1(run, run_stage1(w, cfg));
+  return run;
+}
+
+ffm::Stage2Result collect_stage2_view(const Workload& w,
+                                      const ToolConfig& cfg) {
+  evstore::TraceRun run = stage1_run(w, cfg);
+  ffm::collect_stage2(w, cfg, ffm::stage1_view(run), run);
+  return ffm::stage2_view(run);
+}
+
+ffm::Stage3Result collect_stage3_view(const Workload& w,
+                                      const ToolConfig& cfg) {
+  evstore::TraceRun run = stage1_run(w, cfg);
+  ffm::collect_stage3(w, cfg, run);
+  return ffm::stage3_view(run);
+}
 
 // Small configs keep the whole file fast.
 CumfAlsConfig small_cumf() {
@@ -66,9 +86,8 @@ TEST(AppsDeterminism, RodiniaGaussian) {
 TEST(AppsDeterminism, TraceShapeStableAcrossRuns) {
   const Workload w = make_cumf_als(small_cumf());
   const ToolConfig cfg;
-  const Stage1Result s1 = run_stage1(w, cfg);
-  const auto t1 = run_stage2(w, cfg, s1);
-  const auto t2 = run_stage2(w, cfg, s1);
+  const auto t1 = collect_stage2_view(w, cfg);
+  const auto t2 = collect_stage2_view(w, cfg);
   ASSERT_EQ(t1.ops.size(), t2.ops.size());
   for (std::size_t i = 0; i < t1.ops.size(); ++i) {
     EXPECT_EQ(t1.ops[i].api, t2.ops[i].api);
@@ -120,7 +139,7 @@ TEST(AppsPathology, CumfAlsHasHiddenFreeSyncsAndDuplicates) {
   EXPECT_TRUE(free_site);
   EXPECT_TRUE(priv_site);  // the cuBLAS-like workspace teardown
 
-  const auto s3 = run_stage3(w, cfg, s1);
+  const auto s3 = collect_stage3_view(w, cfg);
   // Tiles A and B re-uploaded identically from iteration 2 on.
   EXPECT_EQ(s3.duplicate_transfers.size(),
             2u * (small_cumf().iterations - 1));
@@ -129,7 +148,7 @@ TEST(AppsPathology, CumfAlsHasHiddenFreeSyncsAndDuplicates) {
 TEST(AppsPathology, CumfAlsFixedHasNoDuplicates) {
   const Workload w = make_cumf_als(small_cumf(), true);
   const ToolConfig cfg;
-  const auto s3 = run_stage3(w, cfg, run_stage1(w, cfg));
+  const auto s3 = collect_stage3_view(w, cfg);
   EXPECT_TRUE(s3.duplicate_transfers.empty());
 }
 
@@ -178,8 +197,7 @@ TEST(AppsPathology, CuibmFixedEliminatesPerCallFrees) {
   const Workload path = make_cuibm(small_cuibm());
   const Workload fixed = make_cuibm(small_cuibm(), true);
   const auto count_frees = [&](const Workload& w) {
-    const Stage1Result s1 = run_stage1(w, cfg);
-    const auto s2 = run_stage2(w, cfg, s1);
+    const auto s2 = collect_stage2_view(w, cfg);
     std::size_t n = 0;
     for (const auto& op : s2.ops) {
       if (op.api == Fn::kCudaFree) ++n;

@@ -7,6 +7,7 @@
 #include "core/stage1_baseline.h"
 #include "core/stage2_tracing.h"
 #include "core/stage3_memhash.h"
+#include "eventstore/cursor.h"
 #include "eventstore/run_io.h"
 #include "gpusim/api.h"
 #include "gpusim/host_buffer.h"
@@ -262,7 +263,12 @@ TEST(ChromeTrace, NullRuntimeAndProblemsTolerated) {
   const Dataset d = make_dataset();
   // The same ops with no stage-3 classification events.
   evstore::TraceRun ops_only;
-  append_stage2(ops_only, stage2_view(d.run));
+  ops_only.meta.s2_exec = d.run.meta.s2_exec;
+  evstore::ops(*d.run.store).for_each([&](const evstore::Event& e) {
+    evstore::Event op = e;
+    op.stack = ops_only.store->intern_stack(d.run.store->stack_trace(e.stack));
+    ops_only.store->append(op);
+  });
   const json::Value v = chrome_trace(ops_only, nullptr);
   EXPECT_GT(events_of(v).size(), 0u);
 }

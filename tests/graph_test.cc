@@ -4,7 +4,7 @@
 #include <random>
 
 #include "core/graph.h"
-#include "core/run_convert.h"
+#include "eventstore/run.h"
 
 namespace diog::ffm {
 namespace {
@@ -13,23 +13,56 @@ using hooks::Fn;
 using hooks::MemcpyKind;
 using hooks::MemKind;
 
-OpRecord make_op(std::uint64_t index, Fn api, TimePoint enter, TimePoint exit,
-                 Duration sync_wait, bool sync, bool transfer) {
-  OpRecord op;
-  op.index = index;
-  op.api = api;
-  op.t_enter = enter;
-  op.t_exit = exit;
-  op.sync_wait = sync_wait;
-  op.performed_sync = sync;
-  op.performed_transfer = transfer;
-  return op;
+namespace ev = evstore;
+
+// A traced call, by default a host-to-host copy between pageable
+// buffers, as an unset op reads.
+ev::Event make_op(std::uint64_t index, Fn api, TimePoint enter, TimePoint exit,
+                  Duration sync_wait, bool sync, bool transfer) {
+  ev::Event e;
+  e.kind = ev::EventKind::kOp;
+  e.set_fn(api);
+  e.op_index = index;
+  e.t_start = enter.count();
+  e.t_end = exit.count();
+  e.aux_time = sync_wait.count();
+  e.set(ev::flag::kPerformedSync, sync);
+  e.set(ev::flag::kPerformedTransfer, transfer);
+  e.set_direction(MemcpyKind::kHostToHost);
+  e.set_dst_mem(MemKind::kPageable);
+  e.set_src_mem(MemKind::kPageable);
+  return e;
+}
+
+ev::Event classification(std::uint64_t op_index, bool required) {
+  ev::Event e;
+  e.kind = ev::EventKind::kSyncClassification;
+  e.op_index = op_index;
+  e.set(ev::flag::kSyncRequired, required);
+  return e;
+}
+
+ev::Event sync_use(std::uint64_t op_index, Duration first_use_time) {
+  ev::Event e;
+  e.kind = ev::EventKind::kSyncUse;
+  e.op_index = op_index;
+  e.aux_time = first_use_time.count();
+  return e;
+}
+
+// A run whose stage 2 took `exec`, holding `events` in the order given
+// (the stages append ops, then classifications and duplicates, then
+// first uses).
+ev::TraceRun make_run(Duration exec, const std::vector<ev::Event>& events) {
+  ev::TraceRun run;
+  run.meta.workload = "t";
+  run.meta.s2_exec = exec;
+  for (const ev::Event& e : events) run.store->append(e);
+  return run;
 }
 
 TEST(GraphBuild, EmptyTraceYieldsTerminalNodeOnly) {
-  Stage2Result s2;
-  s2.exec_time = ms(10);
-  const ExecutionGraph g = build_graph(build_run("t", {}, s2, {}, {}), us(50));
+  const ExecutionGraph g = build_graph(make_run(ms(10), {}), us(50));
   // One CWork for the whole run, one terminal CWait.
   ASSERT_EQ(g.size(), 2u);
   EXPECT_EQ(g.nodes()[0].type, NType::kCWork);
@@ -39,18 +72,13 @@ TEST(GraphBuild, EmptyTraceYieldsTerminalNodeOnly) {
 }
 
 TEST(GraphBuild, SyncCallSplitsIntoLaunchAndWait) {
-  Stage2Result s2;
-  s2.exec_time = ms(20);
   // One deviceSynchronize: 1 ms in the call, 0.9 ms of it blocked.
-  s2.ops.push_back(make_op(0, Fn::kCudaDeviceSynchronize, TimePoint{ms(5)},
-                           TimePoint{ms(6)}, us(900), true, false));
-  Stage3Result s3;
-  SyncClassification cls;
-  cls.op_index = 0;
-  cls.required = false;
-  s3.syncs.push_back(cls);
-
-  const ExecutionGraph g = build_graph(build_run("t", {}, s2, s3, {}), us(50));
+  const ExecutionGraph g = build_graph(
+      make_run(ms(20), {make_op(0, Fn::kCudaDeviceSynchronize,
+                                TimePoint{ms(5)}, TimePoint{ms(6)}, us(900),
+                                true, false),
+                        classification(0, false)}),
+      us(50));
   // CWork(0-5) + CLaunch(setup) + CWait(blocked) + CWork(6-20) + terminal.
   ASSERT_EQ(g.size(), 5u);
   EXPECT_EQ(g.nodes()[0].type, NType::kCWork);
@@ -65,17 +93,14 @@ TEST(GraphBuild, SyncCallSplitsIntoLaunchAndWait) {
 }
 
 TEST(GraphBuild, TransferTailCountsAsLaunchNotWait) {
-  Stage2Result s2;
-  s2.exec_time = ms(10);
   // A blocking memcpy: 3 ms call; 2.5 ms measured wait of which 1 ms is
   // the transfer itself (gpu_op_duration).
-  OpRecord op = make_op(0, Fn::kCudaMemcpy, TimePoint{ms(1)},
-                        TimePoint{ms(4)}, us(2500), true, true);
-  op.gpu_op_duration = ms(1);
+  ev::Event op = make_op(0, Fn::kCudaMemcpy, TimePoint{ms(1)},
+                         TimePoint{ms(4)}, us(2500), true, true);
+  op.gpu_time = ms(1).count();
   op.bytes = 1 << 20;
-  s2.ops.push_back(op);
 
-  const ExecutionGraph g = build_graph(build_run("t", {}, s2, {}, {}), us(50));
+  const ExecutionGraph g = build_graph(make_run(ms(10), {op}), us(50));
   // CWait holds only the drain of PRIOR work (1.5 ms); the transfer tail
   // belongs to CLaunch (paper: RemoveMemoryTransfer recovers CLaunch).
   const Node* launch = nullptr;
@@ -91,19 +116,15 @@ TEST(GraphBuild, TransferTailCountsAsLaunchNotWait) {
 }
 
 TEST(GraphBuild, DuplicateTransferMarksLaunchNode) {
-  Stage2Result s2;
-  s2.exec_time = ms(10);
-  OpRecord op = make_op(0, Fn::kCudaMemcpy, TimePoint{ms(1)},
-                        TimePoint{ms(2)}, us(800), true, true);
-  op.gpu_op_duration = us(800);
-  s2.ops.push_back(op);
-  Stage3Result s3;
-  DuplicateTransfer dup;
+  ev::Event op = make_op(0, Fn::kCudaMemcpy, TimePoint{ms(1)},
+                         TimePoint{ms(2)}, us(800), true, true);
+  op.gpu_time = us(800).count();
+  ev::Event dup;
+  dup.kind = ev::EventKind::kDuplicateTransfer;
   dup.op_index = 0;
-  dup.first_op_index = 0;
-  s3.duplicate_transfers.push_back(dup);
+  dup.link = 0;  // the first transfer of the content
 
-  const ExecutionGraph g = build_graph(build_run("t", {}, s2, s3, {}), us(50));
+  const ExecutionGraph g = build_graph(make_run(ms(10), {op, dup}), us(50));
   bool found = false;
   for (const Node& n : g.nodes()) {
     if (n.type == NType::kCLaunch && n.op_index == 0) {
@@ -115,19 +136,12 @@ TEST(GraphBuild, DuplicateTransferMarksLaunchNode) {
 }
 
 TEST(GraphBuild, RequiredSyncWithLargeFirstUseIsMisplaced) {
-  Stage2Result s2;
-  s2.exec_time = ms(10);
-  s2.ops.push_back(make_op(0, Fn::kCudaStreamSynchronize, TimePoint{ms(1)},
-                           TimePoint{ms(2)}, us(950), true, false));
-  Stage3Result s3;
-  SyncClassification cls;
-  cls.op_index = 0;
-  cls.required = true;
-  s3.syncs.push_back(cls);
-  Stage4Result s4;
-  s4.uses.push_back(SyncUse{0, ms(3)});
-
-  const ExecutionGraph g = build_graph(build_run("t", {}, s2, s3, s4), us(50));
+  const ExecutionGraph g = build_graph(
+      make_run(ms(10), {make_op(0, Fn::kCudaStreamSynchronize,
+                                TimePoint{ms(1)}, TimePoint{ms(2)}, us(950),
+                                true, false),
+                        classification(0, true), sync_use(0, ms(3))}),
+      us(50));
   const Node* wait = nullptr;
   for (const Node& n : g.nodes()) {
     if (n.type == NType::kCWait && n.op_index == 0) wait = &n;
@@ -138,19 +152,13 @@ TEST(GraphBuild, RequiredSyncWithLargeFirstUseIsMisplaced) {
 }
 
 TEST(GraphBuild, RequiredSyncWithImmediateUseIsHealthy) {
-  Stage2Result s2;
-  s2.exec_time = ms(10);
-  s2.ops.push_back(make_op(0, Fn::kCudaStreamSynchronize, TimePoint{ms(1)},
-                           TimePoint{ms(2)}, us(950), true, false));
-  Stage3Result s3;
-  SyncClassification cls;
-  cls.op_index = 0;
-  cls.required = true;
-  s3.syncs.push_back(cls);
-  Stage4Result s4;
-  s4.uses.push_back(SyncUse{0, us(10)});  // below the 50 us threshold
-
-  const ExecutionGraph g = build_graph(build_run("t", {}, s2, s3, s4), us(50));
+  const ExecutionGraph g = build_graph(
+      make_run(ms(10),
+               {make_op(0, Fn::kCudaStreamSynchronize, TimePoint{ms(1)},
+                        TimePoint{ms(2)}, us(950), true, false),
+                classification(0, true),
+                sync_use(0, us(10))}),  // below the 50 us threshold
+      us(50));
   for (const Node& n : g.nodes()) {
     if (n.type == NType::kCWait && n.op_index == 0) {
       EXPECT_EQ(n.problem, ProblemType::kNone);
@@ -159,13 +167,13 @@ TEST(GraphBuild, RequiredSyncWithImmediateUseIsHealthy) {
 }
 
 TEST(GraphBuild, TotalDurationEqualsExecTime) {
-  Stage2Result s2;
-  s2.exec_time = ms(30);
-  s2.ops.push_back(make_op(0, Fn::kCudaMemcpy, TimePoint{ms(2)},
-                           TimePoint{ms(4)}, ms(1), true, true));
-  s2.ops.push_back(make_op(1, Fn::kCudaDeviceSynchronize, TimePoint{ms(10)},
-                           TimePoint{ms(15)}, ms(5) - us(3), true, false));
-  const ExecutionGraph g = build_graph(build_run("t", {}, s2, {}, {}), us(50));
+  const ExecutionGraph g = build_graph(
+      make_run(ms(30), {make_op(0, Fn::kCudaMemcpy, TimePoint{ms(2)},
+                                TimePoint{ms(4)}, ms(1), true, true),
+                        make_op(1, Fn::kCudaDeviceSynchronize,
+                                TimePoint{ms(10)}, TimePoint{ms(15)},
+                                ms(5) - us(3), true, false)}),
+      us(50));
   EXPECT_EQ(g.total_duration(), ms(30));
   EXPECT_EQ(g.exec_time(), ms(30));
 }

@@ -5,8 +5,10 @@
 
 #include <cstring>
 
+#include "core/run_convert.h"
 #include "core/stage1_baseline.h"
 #include "core/stage2_tracing.h"
+#include "eventstore/cursor.h"
 #include "gpusim/api.h"
 #include "gpusim/runtime.h"
 #include "trace/callstack.h"
@@ -232,13 +234,13 @@ TEST(MultiGpuTool, StagesSeeMultiDeviceSyncs) {
   }
   EXPECT_TRUE(free_site);
 
-  const auto s2 = diog::ffm::run_stage2(w, cfg, s1);
+  diog::evstore::TraceRun run;
+  diog::ffm::append_stage1(run, s1);
+  diog::ffm::collect_stage2(w, cfg, s1, run);
   std::size_t free_syncs = 0;
-  for (const auto& op : s2.ops) {
-    if (op.api == diog::hooks::Fn::kCudaFree && op.sync_wait > Duration{0}) {
-      ++free_syncs;
-    }
-  }
+  diog::evstore::ops(*run.store).for_each([&](const diog::evstore::Event& e) {
+    if (e.fn() == diog::hooks::Fn::kCudaFree && e.aux_time > 0) ++free_syncs;
+  });
   EXPECT_EQ(free_syncs, 2u);  // one hidden sync per device
 }
 

@@ -22,6 +22,7 @@
 #include "apps/apps.h"
 #include "core/diogenes.h"
 #include "core/report.h"
+#include "core/run_convert.h"
 #include "core/stage1_baseline.h"
 #include "core/stage2_tracing.h"
 #include "core/stage3_memhash.h"
@@ -372,9 +373,11 @@ void run_pipeline() {
   const ffm::Workload w = make_workload();
   const ffm::ToolConfig cfg;
   const ffm::Stage1Result s1 = ffm::run_stage1(w, cfg);
-  (void)ffm::run_stage2(w, cfg, s1);
-  (void)ffm::run_stage3(w, cfg, s1);
-  (void)ffm::run_stage4(w, cfg, s1);
+  evstore::TraceRun run;
+  ffm::append_stage1(run, s1);
+  ffm::collect_stage2(w, cfg, s1, run);
+  ffm::collect_stage3(w, cfg, run);
+  ffm::collect_stage4(w, cfg, run);
 }
 
 TEST(ObsTelemetry, StagesPopulateGlobalSession) {
@@ -418,8 +421,9 @@ TEST(ObsTelemetry, CuibmStage3PaysProtectCallsOnlyForTouchedRanges) {
   t.set_enabled(true);
   const ffm::Workload w = apps::make_cuibm();
   const ffm::ToolConfig cfg;
-  const ffm::Stage1Result s1 = ffm::run_stage1(w, cfg);
-  (void)ffm::run_stage3(w, cfg, s1);
+  evstore::TraceRun run;
+  ffm::append_stage1(run, ffm::run_stage1(w, cfg));
+  ffm::collect_stage3(w, cfg, run);
   if (!kCompiledIn) {
     EXPECT_EQ(t.metrics().size(), 0u);
     return;

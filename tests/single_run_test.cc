@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "apps/apps.h"
+#include "core/run_convert.h"
 #include "core/single_run.h"
 #include "core/stage1_baseline.h"
 #include "core/stage2_tracing.h"
@@ -105,7 +106,10 @@ TEST(SingleRun, FfmSeesWhatSingleRunMisses) {
   const Workload w = startup_heavy_workload();
   const ToolConfig cfg;
   const Stage1Result s1 = run_stage1(w, cfg);
-  const Stage2Result s2 = run_stage2(w, cfg, s1);
+  evstore::TraceRun run;
+  append_stage1(run, s1);
+  collect_stage2(w, cfg, s1, run);
+  const Stage2Result s2 = stage2_view(run);
 
   Duration ffm_device_sync_wait{0};
   for (const OpRecord& op : s2.ops) {

@@ -2,6 +2,7 @@
 // workloads whose ground truth is known by construction.
 #include <gtest/gtest.h>
 
+#include "core/run_convert.h"
 #include "core/stage1_baseline.h"
 #include "core/stage2_tracing.h"
 #include "core/stage3_memhash.h"
@@ -25,6 +26,31 @@ Workload make_workload(std::string name, std::function<void()> body) {
   w.device = gpusim::DeviceConfig{};
   w.body = std::move(body);
   return w;
+}
+
+// A run holding stage 1's product, as Diogenes::analyze starts one.
+evstore::TraceRun stage1_run(const Workload& w, const ToolConfig& cfg) {
+  evstore::TraceRun run;
+  append_stage1(run, run_stage1(w, cfg));
+  return run;
+}
+
+Stage2Result collect_stage2_view(const Workload& w, const ToolConfig& cfg) {
+  evstore::TraceRun run = stage1_run(w, cfg);
+  collect_stage2(w, cfg, stage1_view(run), run);
+  return stage2_view(run);
+}
+
+Stage3Result collect_stage3_view(const Workload& w, const ToolConfig& cfg) {
+  evstore::TraceRun run = stage1_run(w, cfg);
+  collect_stage3(w, cfg, run);
+  return stage3_view(run);
+}
+
+Stage4Result collect_stage4_view(const Workload& w, const ToolConfig& cfg) {
+  evstore::TraceRun run = stage1_run(w, cfg);
+  collect_stage4(w, cfg, run);
+  return stage4_view(run);
 }
 
 // --- Stage 1: discovery --------------------------------------------------------
@@ -147,8 +173,7 @@ TEST(Stage2, TracesSyncAndTransferOpsWithTiming) {
   });
 
   const ToolConfig cfg;
-  const Stage1Result s1 = run_stage1(w, cfg);
-  const Stage2Result s2 = run_stage2(w, cfg, s1);
+  const Stage2Result s2 = collect_stage2_view(w, cfg);
 
   // deviceSync + memcpy + free are traced; malloc and launch are not.
   ASSERT_EQ(s2.ops.size(), 3u);
@@ -180,7 +205,7 @@ TEST(Stage2, StacksAttributeToAppFrames) {
     (void)gpusim::cudaDeviceSynchronize();
   });
   const ToolConfig cfg;
-  const Stage2Result s2 = run_stage2(w, cfg, run_stage1(w, cfg));
+  const Stage2Result s2 = collect_stage2_view(w, cfg);
   ASSERT_EQ(s2.ops.size(), 1u);
   EXPECT_EQ(s2.ops[0].stack.leaf()->function, "inner");
   EXPECT_EQ(s2.ops[0].stack.leaf()->line, 42);
@@ -219,8 +244,7 @@ struct SyncUseWorkload {
 TEST(Stage3, SyncProtectingReadDataIsRequired) {
   const Workload w = make_workload("s3_req", SyncUseWorkload{true});
   const ToolConfig cfg;
-  const Stage1Result s1 = run_stage1(w, cfg);
-  const Stage3Result s3 = run_stage3(w, cfg, s1);
+  const Stage3Result s3 = collect_stage3_view(w, cfg);
 
   // Find the memcpy op's classification (op 0 = the D2H memcpy).
   bool found_required = false;
@@ -237,8 +261,7 @@ TEST(Stage3, SyncProtectingReadDataIsRequired) {
 TEST(Stage3, SyncProtectingNothingIsUnnecessary) {
   const Workload w = make_workload("s3_unnec", SyncUseWorkload{false});
   const ToolConfig cfg;
-  const Stage1Result s1 = run_stage1(w, cfg);
-  const Stage3Result s3 = run_stage3(w, cfg, s1);
+  const Stage3Result s3 = collect_stage3_view(w, cfg);
   for (const SyncClassification& c : s3.syncs) {
     EXPECT_FALSE(c.required);
   }
@@ -259,8 +282,7 @@ TEST(Stage3, DuplicateTransfersDetectedWithFirstSite) {
     (void)gpusim::cudaFree(dev);
   });
   const ToolConfig cfg;
-  const Stage1Result s1 = run_stage1(w, cfg);
-  const Stage3Result s3 = run_stage3(w, cfg, s1);
+  const Stage3Result s3 = collect_stage3_view(w, cfg);
 
   ASSERT_EQ(s3.duplicate_transfers.size(), 2u);
   EXPECT_EQ(s3.duplicate_transfers[0].first_op_index, 0u);
@@ -284,7 +306,7 @@ TEST(Stage3, ChangingContentIsNotDuplicate) {
     (void)gpusim::cudaFree(dev);
   });
   const ToolConfig cfg;
-  const Stage3Result s3 = run_stage3(w, cfg, run_stage1(w, cfg));
+  const Stage3Result s3 = collect_stage3_view(w, cfg);
   EXPECT_TRUE(s3.duplicate_transfers.empty());
 }
 
@@ -304,7 +326,7 @@ TEST(Stage3, ManagedMemoryIsABlindSpot) {
     (void)gpusim::cudaFree(managed);
   });
   const ToolConfig cfg;
-  const Stage3Result s3 = run_stage3(w, cfg, run_stage1(w, cfg));
+  const Stage3Result s3 = collect_stage3_view(w, cfg);
   for (const SyncClassification& c : s3.syncs) {
     EXPECT_FALSE(c.required);
   }
@@ -329,7 +351,7 @@ TEST(Stage4, MeasuresFirstUseGap) {
     (void)gpusim::cudaFree(dev);
   });
   const ToolConfig cfg;
-  const Stage4Result s4 = run_stage4(w, cfg, run_stage1(w, cfg));
+  const Stage4Result s4 = collect_stage4_view(w, cfg);
   ASSERT_EQ(s4.uses.size(), 1u);
   // The gap reflects the 5 ms idle period (dilated by the stage's light
   // instrumentation factor).
@@ -346,7 +368,7 @@ TEST(Stage4, OnlyRequiredSyncsReported) {
     (void)gpusim::cudaDeviceSynchronize();  // protects nothing
   });
   const ToolConfig cfg;
-  const Stage4Result s4 = run_stage4(w, cfg, run_stage1(w, cfg));
+  const Stage4Result s4 = collect_stage4_view(w, cfg);
   EXPECT_TRUE(s4.uses.empty());
 }
 
@@ -369,9 +391,11 @@ TEST(Stages, OpIndicesAlignAcrossRuns) {
     (void)gpusim::cudaFree(dev);
   });
   const ToolConfig cfg;
-  const Stage1Result s1 = run_stage1(w, cfg);
-  const Stage2Result s2 = run_stage2(w, cfg, s1);
-  const Stage3Result s3 = run_stage3(w, cfg, s1);
+  evstore::TraceRun run = stage1_run(w, cfg);
+  collect_stage2(w, cfg, stage1_view(run), run);
+  collect_stage3(w, cfg, run);
+  const Stage2Result s2 = stage2_view(run);
+  const Stage3Result s3 = stage3_view(run);
 
   // Every stage-3 classification index must point at a stage-2 op that
   // performed a synchronization.
