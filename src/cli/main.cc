@@ -656,6 +656,12 @@ int cmd_fuzz(Args& a, ffm::ToolConfig&) {
 int analysis_command(const std::string& command, Args& a,
                      const ffm::AnalysisResult& r, const apps::AppPair* app,
                      const ffm::ToolConfig& cfg) {
+  if (app == nullptr && (command == "stages" || command == "compare" ||
+                         command == "diff" || command == "uvm")) {
+    std::fprintf(stderr, "%s requires a live app, not replay\n",
+                 command.c_str());
+    return 1;
+  }
   if (command == "overview" || command == "stages") {
     // The explained overview: the Figure-7 listing plus a "why:" line
     // per entry from its diagnosis.
@@ -736,12 +742,6 @@ int analysis_command(const std::string& command, Args& a,
     const auto recs = ffm::recommend_fixes(r);
     std::printf("%s", ffm::render_recommendations(r, recs).c_str());
     return 0;
-  }
-  if (app == nullptr &&
-      (command == "compare" || command == "diff" || command == "uvm")) {
-    std::fprintf(stderr, "%s requires a live app, not replay\n",
-                 command.c_str());
-    return 1;
   }
   if (command == "compare") {
     // The paper's baselines beside Diogenes' own per-API savings.

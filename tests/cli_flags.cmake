@@ -102,6 +102,13 @@ endforeach()
 run(0 --live --heartbeat-ms 50 --checkpoint-ms 100 --trace-dir "${W}/live"
     Rodinia api)
 
+# A replay saves no run, so `stages` (the overview plus that save) needs
+# a live app.
+run(1 replay "${W}" small stages)
+if(NOT ERR MATCHES "live app")
+  message(FATAL_ERROR "replay stages: stderr:\n${ERR}")
+endif()
+
 # `push` has no default port.
 run(2 push "${F}")
 if(NOT ERR STREQUAL "push: --port is required\n${USAGE}")
