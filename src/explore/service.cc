@@ -26,8 +26,6 @@ namespace fs = std::filesystem;
 
 namespace {
 
-constexpr std::string_view kRunSuffix = ".dgtrace";
-
 HttpResponse json_response(json::Value v) {
   HttpResponse r;
   r.body = v.dump();
@@ -92,19 +90,20 @@ Service::CachedRun* Service::resolve(const std::string& name) {
   std::error_code ec;
   std::string path;
   if (fs::is_regular_file(opts_.root, ec)) {
-    const std::string stem =
-        fs::path(opts_.root).filename().string();
-    if (stem != name && stem != name + std::string(kRunSuffix)) {
-      return nullptr;
-    }
+    // A file root serves its one run under its file name or its stem.
+    const std::string file = fs::path(opts_.root).filename().string();
+    if (name != file && name != evstore::run_stem(file)) return nullptr;
     path = opts_.root;
   } else {
     if (name.find('/') != std::string::npos ||
         name.find("..") != std::string::npos) {
       return nullptr;  // names are basenames, never paths
     }
-    path = (fs::path(opts_.root) / (name + std::string(kRunSuffix)))
-               .string();
+    // A root given as "dir/" names "dir/<name>.dgtrace", as a path join
+    // does, not "dir//<name>.dgtrace".
+    std::string_view dir = opts_.root;
+    if (dir.ends_with('/')) dir.remove_suffix(1);
+    path = evstore::run_file_path(std::string(dir), name);
   }
   const std::uintmax_t size = fs::file_size(path, ec);
   if (ec) return nullptr;

@@ -416,18 +416,12 @@ std::vector<Bytes> load_corpus(const FuzzOptions& opts,
                                FuzzStats& stats) {
   std::vector<Bytes> corpus;
   if (!opts.corpus_dir.empty() && fs::is_directory(opts.corpus_dir)) {
-    std::vector<fs::path> files;
-    for (const auto& entry : fs::directory_iterator(opts.corpus_dir)) {
-      if (!entry.is_regular_file()) continue;
-      const std::string name = entry.path().filename().string();
-      if (entry.path().extension() != ".dgtrace") continue;
-      if (name.rfind("finding-", 0) == 0) continue;
-      if (name.rfind("fuzz-last-input", 0) == 0) continue;
-      files.push_back(entry.path());
-    }
-    std::sort(files.begin(), files.end());
-    for (const auto& f : files) {
-      Bytes b = read_file(f.string());
+    for (const std::string& f : evstore::list_run_files(opts.corpus_dir)) {
+      const std::string name = fs::path(f).filename().string();
+      if (name.starts_with("finding-") || name.starts_with("fuzz-last-input")) {
+        continue;
+      }
+      Bytes b = read_file(f);
       if (b.size() > opts.max_input_bytes) b.resize(opts.max_input_bytes);
       corpus.push_back(std::move(b));
     }

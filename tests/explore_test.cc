@@ -505,6 +505,24 @@ TEST_F(ExploreTest, TornLiveRunServesTheReadablePrefix) {
       << "the clean prefix must still be served";
 }
 
+// /api/runs names each run's file; a directory root spelled with a
+// trailing '/' names the same file, and a file root answers to its file
+// name and its stem.
+TEST_F(ExploreTest, RunsNameTheirFileForEveryRootSpelling) {
+  const std::string path =
+      save("a", testkit::make_synthetic_run({.events = 1'000}));
+  for (const std::string& root : {dir_, dir_ + "/", path}) {
+    explore::Service svc({.root = root, .config = {}, .archive_root = {}});
+    const json::Value runs = json::parse(get(svc, "/api/runs").body);
+    ASSERT_EQ(runs.at("runs").size(), 1u) << root;
+    EXPECT_EQ(runs.at("runs").at(0).at("file").as_string(), path) << root;
+    EXPECT_EQ(get(svc, "/api/stat?run=a").status, 200) << root;
+  }
+  explore::Service file_root({.root = path, .config = {}, .archive_root = {}});
+  EXPECT_EQ(get(file_root, "/api/stat?run=a.dgtrace").status, 200);
+  EXPECT_EQ(get(file_root, "/api/stat?run=b").status, 404);
+}
+
 TEST_F(ExploreTest, ErrorModelIs404ForUnknownAnd400ForBadParams) {
   save("ok", testkit::make_synthetic_run({.events = 1'000}));
   explore::Service svc({.root = dir_, .config = {}, .archive_root = {}});
