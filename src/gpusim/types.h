@@ -61,8 +61,8 @@ struct KernelDesc {
 // tool under test never reads this.
 struct GpuOp {
   enum class Kind : std::uint8_t { kKernel, kTransfer, kMemset };
-  Kind kind;
-  StreamId stream;
+  Kind kind = Kind::kKernel;
+  StreamId stream = kDefaultStream;
   std::string name;
   TimePoint start{0};
   TimePoint end{0};

@@ -46,7 +46,7 @@ struct RandomProgram {
   std::shared_ptr<HostBuffer<float>> readback =
       std::make_shared<HostBuffer<float>>(8 * 1024);
 
-  RandomProgram() {
+  explicit RandomProgram(std::uint64_t s) : seed(s) {
     // Distinctive stable content, so no buffer accidentally matches
     // another by both being zero-filled.
     (*stable)[0] = 1234.5f;
@@ -143,8 +143,7 @@ struct RandomProgram {
 };
 
 Workload make_random(std::uint64_t seed) {
-  RandomProgram prog;
-  prog.seed = seed;
+  RandomProgram prog(seed);
   Workload w;
   w.name = "random_" + std::to_string(seed);
   w.device = gpusim::DeviceConfig{};
