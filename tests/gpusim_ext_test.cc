@@ -227,7 +227,7 @@ TEST_F(GpusimExtTest, Memcpy2DImplicitlySynchronizes) {
 }
 
 TEST_F(GpusimExtTest, Memcpy2DValidation) {
-  char a[64], b[64];
+  char a[64] = {}, b[64] = {};
   // width > pitch is illegal.
   EXPECT_EQ(cudaMemcpy2D(a, 4, b, 8, 8, 4,
                          diog::hooks::MemcpyKind::kHostToHost),
