@@ -136,13 +136,14 @@ void figure2_walkthrough() {
     evstore::TraceRun run;
     ffm::append_stage1(run, ffm::run_stage1(w, cfg));
     ffm::collect_stage3(w, cfg, run);
+    const evstore::EventStore& store = *run.store;
     std::printf("\nvariant: %s\n", w.name.c_str());
-    evstore::sync_classifications(*run.store).for_each([&](const evstore::Event& e) {
+    evstore::sync_classifications(store).for_each([&](const evstore::Event& e) {
       const bool required = e.has(evstore::flag::kSyncRequired);
       std::printf("  sync op #%llu: %s",
                   static_cast<unsigned long long>(e.op_index),
                   required ? "REQUIRED for correctness" : "unnecessary");
-      const trace::StackTrace access = run.store->stack_trace(e.aux_stack);
+      const trace::StackTrace access = store.stack_trace(e.aux_stack);
       if (required && access.leaf() != nullptr) {
         std::printf("  (step 3: access stored at %s)",
                     access.leaf()->pretty().c_str());

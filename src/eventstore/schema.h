@@ -1,14 +1,14 @@
 // The unified trace schema: one row shape for everything the pipeline
 // observes.
 //
-// The FFM model is four separate collection runs feeding one analysis;
-// each run used to keep its own bespoke AoS vectors (Stage2Result::ops,
-// Stage3Result::syncs, ...), which tied every consumer to one stage's
-// shape and one process's lifetime. The event store replaces that with a
-// single columnar schema: every observation — a sync site, a traced
-// driver call, a sync classification, a duplicate transfer, a first-use
-// measurement, a tool-internal span, a page fault — is one fixed-width
-// row whose meaning is selected by `kind`. Variable-size payloads
+// The FFM model is four separate collection runs feeding one analysis.
+// Each collection stage appends its observations into one run, and every
+// consumer reads them back through cursors, whatever stage wrote them.
+// The event store holds them in a single columnar schema: every
+// observation — a sync site, a traced driver call, a sync
+// classification, a duplicate transfer, a first-use measurement, a
+// tool-internal span, a page fault — is one fixed-width row whose
+// meaning is selected by `kind`. Variable-size payloads
 // (stacks, names) are interned into per-store dictionaries and referred
 // to by 32-bit ids, so appending from a hot instrumentation path writes
 // only fixed-width columns.
