@@ -252,6 +252,21 @@ Bytes make_coded_chunk(const CodedChunkParams& params) {
           codec = fmt::kCodecVarint;
           body.assign(3, 0xFF);
           break;
+        case Corruption::kVarintTooWide:
+        case Corruption::kDeltaTooWide:
+          if (n > 0) vals[0] = 1ull << (8 * fmt::kColumnWidths[c]);
+          if (params.corruption == Corruption::kVarintTooWide) {
+            codec = fmt::kCodecVarint;
+            body = encode_varint_body(vals);
+          } else {
+            codec = fmt::kCodecDelta;
+            body = encode_delta_body(vals);
+          }
+          break;
+        case Corruption::kRawLengthMismatch:
+          codec = fmt::kCodecRaw;
+          body.resize(n * fmt::kColumnWidths[c] + 1);
+          break;
       }
     }
 

@@ -82,6 +82,11 @@ struct CodedChunkParams {
     kTruncatedDelta,   // bitpacked delta body cut short, enc_len updated
     kVarintOverrun,    // varint continuation bits run past enc_len
     kUnknownApi,       // api ids up to 99, past hooks::Fn::kCount_
+    // Row 0 of the column holds 2^(8*width), one past what the column's
+    // width can hold, varint- or delta-coded (narrow columns only).
+    kVarintTooWide,
+    kDeltaTooWide,
+    kRawLengthMismatch,  // raw body one byte longer than count * width
   };
   Corruption corruption = Corruption::kNone;
   std::uint8_t corrupt_column = 8;  // tag to corrupt (8 = t_start, delta)

@@ -658,6 +658,14 @@ class RunIoTest : public ::testing::Test {
                   sb.stacks().frame(eb.stack, d))
             << "event " << i << " frame " << d;
       }
+      ASSERT_EQ(sa.stacks().depth(ea.aux_stack),
+                sb.stacks().depth(eb.aux_stack))
+          << "event " << i;
+      for (std::size_t d = 0; d < sa.stacks().depth(ea.aux_stack); ++d) {
+        EXPECT_EQ(sa.stacks().frame(ea.aux_stack, d),
+                  sb.stacks().frame(eb.aux_stack, d))
+            << "event " << i << " aux frame " << d;
+      }
     }
   }
 
@@ -851,23 +859,32 @@ TEST_F(RunIoTest, CorruptedPayloadFailsChecksum) {
 namespace {
 
 // Events with per-index dictionary churn so chunks exercise the
-// incremental frame/stack/name serialization.
+// incremental frame/stack/name serialization, and a value in every
+// column that varies by row (the 8-byte ones past 32 bits).
 void append_varied(TraceRun& run, std::uint64_t first, std::uint64_t count) {
   EventStore& store = *run.store;
   for (std::uint64_t i = first; i < first + count; ++i) {
     Event e;
     e.kind = static_cast<EventKind>(i % kEventKindCount);
-    e.set_fn(hooks::Fn::kCudaMemcpy);
+    // Every Fn, and kCount_ (the stored "no API").
+    e.api = static_cast<std::uint16_t>(i % (hooks::kFnCount + 1));
+    e.flags = static_cast<std::uint32_t>(i * 0x9e3779b9u);
+    e.stream = static_cast<std::uint32_t>(i % 7);
     const trace::Frame* frames[2] = {frame(static_cast<int>(i % 16)),
                                      frame(static_cast<int>(i % 5))};
     e.stack = store.intern_stack(frames, 2);
+    if (i % 3 == 0) e.aux_stack = store.intern_stack(frames + 1, 1);
     if (i % 9 == 0) {
       e.name = store.intern_name("live_" + std::to_string(i % 13));
     }
     e.op_index = i;
     e.t_start = static_cast<std::int64_t>(i * 7);
     e.t_end = e.t_start + 3;
+    e.aux_time = -static_cast<std::int64_t>(i % 11);
+    e.gpu_time = static_cast<std::int64_t>((i * 13) % 1000) << 34;
     e.bytes = i * 5;
+    e.value = (i << 33) | i;
+    e.link = ~i;
     store.append(e);
   }
 }
@@ -1042,6 +1059,37 @@ TEST_F(RunIoTest, FollowerSeesWriterProgressIncrementally) {
   EXPECT_EQ(follower.poll(), 10u);
   EXPECT_TRUE(follower.finalized());
   expect_equal(run, follower.run());
+}
+
+// Checkpoints off the segment grid ship a chunk whose rows straddle a
+// segment boundary (rows 700 .. kSegmentRows + 1000 cross row
+// kSegmentRows). Every reader puts each column's rows back where the
+// writer had them.
+TEST_F(RunIoTest, ChunkStraddlingASegmentReopensEqual) {
+  TraceRun run;
+  run.meta.workload = "straddle";
+  RunFollower follower(path_);
+  {
+    LiveRunWriter w(path_, {.fsync_checkpoints = false});
+    std::uint64_t rows = 0;
+    for (const std::uint64_t n :
+         {std::uint64_t{700}, kSegmentRows + 300, std::uint64_t{1300}}) {
+      append_varied(run, rows, n);
+      rows += n;
+      w.checkpoint(run, /*force=*/true);
+      EXPECT_EQ(follower.poll(), n);
+    }
+    w.finish(run);
+  }
+  EXPECT_EQ(follower.poll(), 0u);
+  EXPECT_TRUE(follower.finalized());
+  expect_equal(run, follower.run());
+  for (const ReadMode mode : {ReadMode::kStream, ReadMode::kMmap}) {
+    RunFileInfo info;
+    const TraceRun back = open_run(path_, mode, &info);
+    EXPECT_EQ(info.chunks, 4u);
+    expect_equal(run, back);
+  }
 }
 
 TEST_F(RunIoTest, FollowerToleratesMissingFile) {

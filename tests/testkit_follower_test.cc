@@ -200,5 +200,65 @@ TEST_F(FollowerTest, FailedChunkDecodeLeavesOnlyCompleteChunksCounted) {
   }
 }
 
+// A value too wide for its column, or a raw column whose length
+// disagrees with the row count, is the same corruption to every reader:
+// open_run in both modes, a RunFollower and a StreamParser all throw
+// the same text.
+TEST_F(FollowerTest, NarrowColumnViolationsGiveOneErrorFromEveryReader) {
+  using Corruption = CodedChunkParams::Corruption;
+  struct Case {
+    Corruption corruption;
+    std::uint8_t column;
+    const char* error;
+  };
+  const Case cases[] = {
+      {Corruption::kVarintTooWide, 1,  // api: 0x10000 in 2 bytes
+       "run file corrupted: varint value overflows column"},
+      {Corruption::kVarintTooWide, 4,  // stack: 2^32 in 4 bytes
+       "run file corrupted: varint value overflows column"},
+      {Corruption::kDeltaTooWide, 2,  // flags: 2^32 in 4 bytes
+       "run file corrupted: delta value overflows column"},
+      {Corruption::kRawLengthMismatch, 1,
+       "run file corrupted: raw column length mismatch"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.error + std::string(" in column ") +
+                 std::to_string(c.column));
+    CodedChunkParams params;
+    params.event_count = 16;
+    params.corruption = c.corruption;
+    params.corrupt_column = c.column;
+    Bytes bytes = make_header();
+    append(bytes, make_coded_chunk(params));
+    write_file(path_, bytes);
+
+    const auto error_of = [](const auto& read) {
+      try {
+        read();
+      } catch (const Error& e) {
+        return std::string(e.what());
+      }
+      return std::string("no error");
+    };
+    for (const auto mode :
+         {evstore::ReadMode::kStream, evstore::ReadMode::kMmap}) {
+      EXPECT_EQ(error_of([&] { (void)evstore::open_run(path_, mode); }),
+                c.error);
+    }
+    EXPECT_EQ(error_of([&] { (void)evstore::RunFollower(path_).poll(); }),
+              c.error);
+    EXPECT_EQ(error_of([&] {
+                evstore::StreamParser parser;
+                std::size_t off = 0;
+                while (const std::size_t n = parser.accept(
+                           bytes.data() + off, bytes.size() - off,
+                           bytes.size())) {
+                  off += n;
+                }
+              }),
+              c.error);
+  }
+}
+
 }  // namespace
 }  // namespace diog::testkit
