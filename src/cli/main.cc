@@ -652,16 +652,10 @@ int cmd_fuzz(Args& a, ffm::ToolConfig&) {
 }
 
 // One analysis command over `r`, the analysis of `app` (nullptr for a
-// replayed run).
+// replayed run, which cmd_replay keeps to the commands needing no app).
 int analysis_command(const std::string& command, Args& a,
                      const ffm::AnalysisResult& r, const apps::AppPair* app,
                      const ffm::ToolConfig& cfg) {
-  if (app == nullptr && (command == "stages" || command == "compare" ||
-                         command == "diff" || command == "uvm")) {
-    std::fprintf(stderr, "%s requires a live app, not replay\n",
-                 command.c_str());
-    return 1;
-  }
   if (command == "overview" || command == "stages") {
     // The explained overview: the Figure-7 listing plus a "why:" line
     // per entry from its diagnosis.
@@ -792,6 +786,12 @@ int cmd_replay(Args& a, ffm::ToolConfig& cfg) {
   std::string workload;
   if (!a.take(dir) || !a.take(workload)) return usage();
   const std::string command = a.done() ? "overview" : a.next();
+  if (command == "stages" || command == "compare" || command == "diff" ||
+      command == "uvm") {
+    std::fprintf(stderr, "%s requires a live app, not replay\n",
+                 command.c_str());
+    return 1;
+  }
   obs::Telemetry::global().logger().info(
       "cli", "offline analysis of " + workload + " from " + dir);
   const ffm::AnalysisResult r = ffm::run_analysis(

@@ -108,6 +108,12 @@ run(1 replay "${W}" small stages)
 if(NOT ERR MATCHES "live app")
   message(FATAL_ERROR "replay stages: stderr:\n${ERR}")
 endif()
+# The refusal comes before the run is opened: a missing run does not
+# turn it into an open failure.
+run(1 replay "${W}" missing compare)
+if(NOT ERR STREQUAL "compare requires a live app, not replay\n")
+  message(FATAL_ERROR "replay compare on a missing run: stderr:\n${ERR}")
+endif()
 
 # `push` has no default port.
 run(2 push "${F}")
