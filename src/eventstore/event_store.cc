@@ -282,15 +282,7 @@ void EventStore::append(const Event& e) {
   // Injection point for segment-allocation failure: throw BEFORE any
   // column push so the columns stay mutually consistent and the store
   // remains usable after the failure.
-  if (new_segment) {
-    if (const testkit::FaultSpec* spec =
-            testkit::fault_at("event_store.segment_alloc")) {
-      if (spec->action == testkit::FaultAction::kBadAlloc) {
-        throw std::bad_alloc();
-      }
-      throw Error("event store segment allocation failed (injected fault)");
-    }
-  }
+  if (new_segment) fire_segment_alloc_fault();
   kind_.push(static_cast<std::uint8_t>(e.kind));
   api_.push(e.api);
   flags_.push(e.flags);
@@ -381,70 +373,13 @@ void EventStore::BulkLoader::resize(std::uint64_t rows) {
   store.size_.store(rows, std::memory_order_release);
 }
 
-void EventStore::BulkLoader::load_column_at(std::size_t c, std::uint64_t row,
-                                            const void* src,
-                                            std::uint64_t n) {
-  if (c == 0) {
-    if (const testkit::FaultSpec* spec =
-            testkit::fault_at("event_store.segment_alloc")) {
-      if (spec->action == testkit::FaultAction::kBadAlloc) {
-        throw std::bad_alloc();
-      }
-      throw Error("event store segment allocation failed (injected fault)");
+void EventStore::fire_segment_alloc_fault() {
+  if (const testkit::FaultSpec* spec =
+          testkit::fault_at("event_store.segment_alloc")) {
+    if (spec->action == testkit::FaultAction::kBadAlloc) {
+      throw std::bad_alloc();
     }
-  }
-  switch (c) {
-    case 0:
-      store.kind_.write_rows(row, static_cast<const std::uint8_t*>(src), n);
-      break;
-    case 1:
-      store.api_.write_rows(row, static_cast<const std::uint16_t*>(src), n);
-      break;
-    case 2:
-      store.flags_.write_rows(row, static_cast<const std::uint32_t*>(src), n);
-      break;
-    case 3:
-      store.stream_.write_rows(row, static_cast<const std::uint32_t*>(src), n);
-      break;
-    case 4:
-      store.stack_.write_rows(row, static_cast<const std::uint32_t*>(src), n);
-      break;
-    case 5:
-      store.aux_stack_.write_rows(row, static_cast<const std::uint32_t*>(src),
-                                  n);
-      break;
-    case 6:
-      store.name_.write_rows(row, static_cast<const std::uint32_t*>(src), n);
-      break;
-    case 7:
-      store.op_index_.write_rows(row, static_cast<const std::uint64_t*>(src),
-                                 n);
-      break;
-    case 8:
-      store.t_start_.write_rows(row, static_cast<const std::int64_t*>(src), n);
-      break;
-    case 9:
-      store.t_end_.write_rows(row, static_cast<const std::int64_t*>(src), n);
-      break;
-    case 10:
-      store.aux_time_.write_rows(row, static_cast<const std::int64_t*>(src),
-                                 n);
-      break;
-    case 11:
-      store.gpu_time_.write_rows(row, static_cast<const std::int64_t*>(src),
-                                 n);
-      break;
-    case 12:
-      store.bytes_.write_rows(row, static_cast<const std::uint64_t*>(src), n);
-      break;
-    case 13:
-      store.value_.write_rows(row, static_cast<const std::uint64_t*>(src), n);
-      break;
-    case 14:
-      store.link_.write_rows(row, static_cast<const std::uint64_t*>(src), n);
-      break;
-    default:
-      throw Error("internal: load_column_at column index out of range");
+    throw Error("event store segment allocation failed (injected fault)");
   }
 }
 

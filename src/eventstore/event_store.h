@@ -24,6 +24,7 @@
 #include <limits>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -248,6 +249,8 @@ class EventStore {
 
  private:
   friend struct BulkLoader;
+  // The event_store.segment_alloc injection point: throws when armed.
+  static void fire_segment_alloc_fault();
   void note_segment_metrics();
   void enforce_retention();
   void evict_front_segment();
@@ -289,26 +292,34 @@ class EventStore {
   std::uint64_t resident_events_hwm_ = 0;
 };
 
-// Raw column appends used by the run reader (run_io.cc). Kept out of the
+// Raw column loads used by the run reader (run_io.cc). Kept out of the
 // public surface so normal producers go through append().
 struct EventStore::BulkLoader {
   EventStore& store;
   // reserve() grows every column by `extra` rows in one serial step;
-  // load_column_at() then fills disjoint row ranges, which is safe from
-  // different threads concurrently because it only memcpy's into the
+  // the reader then fills disjoint row ranges, which is safe from
+  // different threads concurrently because it only writes into the
   // reserved segments.
   void reserve(std::uint64_t extra);
   // Gives back reserved rows a failed load never wrote: every column
   // and size() return to `rows`.
   void unreserve(std::uint64_t rows);
 
-  // Loads one column of a chunk, decoded into a scratch buffer at the
-  // column's natural width: `c` is the format column index (run_format.h
-  // order) and `src` holds n values. The segment_alloc fault fires on
-  // column 0, so a chunk trips an armed plan exactly once, on the
-  // thread that would have owned the allocation.
-  void load_column_at(std::size_t c, std::uint64_t row, const void* src,
-                      std::uint64_t n);
+  // Calls f(column) for each column as its own Column<T>, in format
+  // order (run_format.h), so a chunk decodes at each column's type
+  // straight into its reserved rows. The segment_alloc fault fires
+  // first, so a chunk trips an armed plan exactly once, on the thread
+  // that would have owned the allocation.
+  template <typename F>
+  void visit_columns(F&& f) {
+    fire_segment_alloc_fault();
+    EventStore& s = store;
+    std::apply([&](auto&... col) { (f(col), ...); },
+               std::tie(s.kind_, s.api_, s.flags_, s.stream_, s.stack_,
+                        s.aux_stack_, s.name_, s.op_index_, s.t_start_,
+                        s.t_end_, s.aux_time_, s.gpu_time_, s.bytes_,
+                        s.value_, s.link_));
+  }
 
  private:
   void resize(std::uint64_t rows);

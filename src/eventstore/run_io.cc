@@ -12,6 +12,7 @@
 #include <new>
 #include <optional>
 #include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "eventstore/codecs.h"
@@ -93,60 +94,71 @@ struct PendingLoad {
 
 // Reusable decode buffers: one per decoding thread (par::worker_local
 // on the parallel open path, a parser member on the streaming path), so
-// steady-state decode allocates nothing.
+// steady-state decode allocates nothing. Values decode straight into
+// the store's segments; a buffer here holds a chunk's column only when
+// its rows straddle a segment boundary, or the u64 values of a
+// delta-coded narrow column before they are narrowed.
 struct DecodeScratch {
-  std::vector<unsigned char> bytes;   // natural-width column values
-  std::vector<std::uint64_t> values;  // u64 staging for the delta codec
+  std::tuple<std::vector<std::uint8_t>, std::vector<std::uint16_t>,
+             std::vector<std::uint32_t>, std::vector<std::uint64_t>,
+             std::vector<std::int64_t>>
+      staged;
+
+  template <typename T>
+  T* stage(std::uint64_t count) {
+    std::vector<T>& v = std::get<std::vector<T>>(staged);
+    v.resize(static_cast<std::size_t>(count));
+    return v.data();
+  }
 };
 
-// Decodes one column to its natural width. Returns a pointer to
-// `count` values: the file bytes themselves for the raw codec, scratch
-// storage otherwise. Throws on any structural violation — the codec
-// byte was already validated, so this is where truncated payloads,
-// varint overruns, and value/width mismatches surface.
-const unsigned char* decode_column(std::size_t c, const ColumnSrc& src,
-                                   std::uint64_t count,
-                                   DecodeScratch& scratch) {
-  const std::size_t width = fmt::kColumnWidths[c];
-  const std::size_t raw_bytes = static_cast<std::size_t>(count) * width;
+// Decodes one column's `count` values into `dst` at the column's own
+// type. Throws on any structural violation — the codec byte was already
+// validated, so this is where truncated payloads, varint overruns, and
+// values too wide for the column surface.
+template <typename T>
+void decode_into(const ColumnSrc& src, std::uint64_t count, T* dst,
+                 DecodeScratch& scratch) {
   if (src.codec == fmt::kCodecRaw) {
-    if (src.enc_len != raw_bytes) {
+    if (src.enc_len != count * sizeof(T)) {
       throw Error("run file corrupted: raw column length mismatch");
     }
-    return src.p;
+    std::memcpy(dst, src.p, static_cast<std::size_t>(src.enc_len));
+    return;
   }
-  scratch.bytes.resize(raw_bytes);
   const unsigned char* end = src.p + src.enc_len;
   if (src.codec == fmt::kCodecVarint) {
     const unsigned char* p = src.p;
     for (std::uint64_t i = 0; i < count; ++i) {
-      const std::uint64_t v = codec::get_varint(&p, end);
-      if (width < 8 && (v >> (8 * width)) != 0) {
-        throw Error("run file corrupted: varint value overflows column");
+      // Most ids and flags are one byte: skip the general decoder.
+      const std::uint64_t v =
+          p != end && *p < 0x80 ? *p++ : codec::get_varint(&p, end);
+      if constexpr (sizeof(T) < 8) {
+        if ((v >> (8 * sizeof(T))) != 0) {
+          throw Error("run file corrupted: varint value overflows column");
+        }
       }
-      std::memcpy(scratch.bytes.data() + i * width, &v, width);
+      dst[i] = static_cast<T>(v);
     }
     if (p != end) {
       throw Error("run file corrupted: trailing bytes in varint column");
     }
-  } else {  // fmt::kCodecDelta
-    scratch.values.resize(static_cast<std::size_t>(count));
-    codec::get_delta_u64(src.p, end, scratch.values.data(), count);
-    if (width == 8) {
-      std::memcpy(scratch.bytes.data(), scratch.values.data(), raw_bytes);
-    } else {
-      // The writer only delta-packs 8-byte columns, but the codec byte
-      // is attacker-controlled; narrow with a range check.
-      for (std::uint64_t i = 0; i < count; ++i) {
-        const std::uint64_t v = scratch.values[i];
-        if ((v >> (8 * width)) != 0) {
-          throw Error("run file corrupted: delta value overflows column");
-        }
-        std::memcpy(scratch.bytes.data() + i * width, &v, width);
+  } else if constexpr (sizeof(T) == 8) {  // fmt::kCodecDelta
+    // The signed columns decode through their unsigned bit pattern.
+    codec::get_delta_u64(src.p, end, reinterpret_cast<std::uint64_t*>(dst),
+                         count);
+  } else {
+    // The writer only delta-packs 8-byte columns, but the codec byte is
+    // attacker-controlled; narrow with a range check.
+    std::uint64_t* wide = scratch.stage<std::uint64_t>(count);
+    codec::get_delta_u64(src.p, end, wide, count);
+    for (std::uint64_t i = 0; i < count; ++i) {
+      if ((wide[i] >> (8 * sizeof(T))) != 0) {
+        throw Error("run file corrupted: delta value overflows column");
       }
+      dst[i] = static_cast<T>(wide[i]);
     }
   }
-  return scratch.bytes.data();
 }
 
 void verify_chunk_checksum(const unsigned char* payload, std::size_t len,
@@ -161,13 +173,22 @@ void verify_chunk_checksum(const unsigned char* payload, std::size_t len,
 
 // Decodes one chunk's columns into its rows of the reserved store
 // segments. The parallel open and the incremental readers share it.
+// Rows inside one segment (every save_run chunk and hub push: they are
+// segment-aligned) take the decoded values directly; a live
+// checkpoint's chunk that straddles a segment boundary is staged.
 void load_columns(EventStore::BulkLoader& loader, const PendingLoad& load,
                   DecodeScratch& scratch) {
-  for (std::size_t c = 0; c < fmt::kColumnCount; ++c) {
-    const unsigned char* d =
-        decode_column(c, load.cols[c], load.count, scratch);
-    loader.load_column_at(c, load.row, d, load.count);
-  }
+  std::size_t c = 0;
+  loader.visit_columns([&]<typename T>(Column<T>& col) {
+    const ColumnSrc& src = load.cols[c++];
+    if (T* dst = col.rows_in_segment(load.row, load.count)) {
+      decode_into(src, load.count, dst, scratch);
+      return;
+    }
+    T* staged = scratch.stage<T>(load.count);
+    decode_into(src, load.count, staged, scratch);
+    col.write_rows(load.row, staged, load.count);
+  });
 }
 
 // Accumulates chunks into one TraceRun. Dictionaries and columns are
@@ -412,7 +433,8 @@ void fill_info(RunFileInfo& info, const ChunkParser& parser,
 // serial error), (C) a serial pass parses meta/dictionaries and
 // validates column framing — dictionary ids chain across chunks, so
 // this stays ordered — and (D) the column payloads, by far the bulk of
-// the bytes, are copied into pre-reserved segments in parallel.
+// the bytes, decode in parallel at each column's own type straight into
+// pre-reserved segments.
 TraceRun parse_run(const unsigned char* data, std::size_t size,
                    RunFileInfo* info) {
   const std::uint32_t version = validate_header(data, size);
@@ -452,10 +474,11 @@ TraceRun parse_run(const unsigned char* data, std::size_t size,
   if (walk.footer) check_footer_agreement(*walk.footer, parser);
 
   // Phase D: reserve once, then decode columns concurrently. Each
-  // chunk fills a disjoint row range of the reserved segments; each
-  // thread reuses one column-sized scratch, so decode is allocation-
-  // free after warm-up. Decode errors follow parallel_for's lowest-
-  // index rule, matching what a serial decode would throw first.
+  // chunk fills a disjoint row range of the reserved segments (a saved
+  // run's chunks are segment-aligned, so nothing is staged); each
+  // thread reuses one scratch, so decode is allocation-free after
+  // warm-up. Decode errors follow parallel_for's lowest-index rule,
+  // matching what a serial decode would throw first.
   EventStore& store = *parser.run.store;
   EventStore::BulkLoader loader{store};
   {
