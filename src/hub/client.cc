@@ -1,13 +1,13 @@
 #include "hub/client.h"
 
 #include <cstdlib>
-#include <fstream>
 #include <optional>
+#include <string>
 #include <string_view>
-#include <vector>
 
 #include "eventstore/run_io.h"
 #include "support/error.h"
+#include "support/input_file.h"
 
 namespace diog::hub {
 
@@ -98,14 +98,10 @@ HubResponse push_bytes(const unsigned char* data, std::size_t n,
 
 HubResponse push_run_file(const std::string& path, ClientOptions opts) {
   if (opts.workload.empty()) opts.workload = evstore::run_stem(path);
-  std::ifstream in(path, std::ios::binary);
-  DIOG_CHECK(in.good(), "cannot open run file: " + path);
-  std::vector<unsigned char> buf;
-  char chunk[1 << 16];
-  while (in.read(chunk, sizeof(chunk)) || in.gcount() > 0) {
-    buf.insert(buf.end(), chunk, chunk + in.gcount());
-  }
-  return push_bytes(buf.data(), buf.size(), opts);
+  const std::optional<std::string> bytes = support::read_file(path);
+  DIOG_CHECK(bytes.has_value(), "cannot open run file: " + path);
+  return push_bytes(reinterpret_cast<const unsigned char*>(bytes->data()),
+                    bytes->size(), opts);
 }
 
 // --- HubSink -----------------------------------------------------------------

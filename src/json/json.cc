@@ -4,9 +4,10 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
+#include <optional>
 
 #include "support/error.h"
+#include "support/input_file.h"
 
 namespace diog::json {
 
@@ -488,11 +489,9 @@ class Parser {
 Value parse(std::string_view text) { return Parser(text).parse_document(); }
 
 Value load_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw Error("json: cannot open file '" + path + "'");
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return parse(ss.str());
+  const std::optional<std::string> text = support::read_file(path);
+  if (!text) throw Error("json: cannot open file '" + path + "'");
+  return parse(*text);
 }
 
 void save_file(const std::string& path, const Value& v) {

@@ -3,11 +3,14 @@
 #include <algorithm>
 #include <cstring>
 #include <fstream>
+#include <optional>
+#include <string>
 
 #include "eventstore/run_format.h"
 #include "eventstore/schema.h"
 #include "hooks/fn.h"
 #include "support/error.h"
+#include "support/input_file.h"
 
 namespace diog::testkit {
 
@@ -317,14 +320,9 @@ Bytes make_minimal_run(std::uint64_t event_count, std::uint32_t version) {
 }
 
 Bytes read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  DIOG_CHECK(in.good(), "cannot open file: " + path);
-  Bytes buf;
-  char chunk[1 << 16];
-  while (in.read(chunk, sizeof(chunk)) || in.gcount() > 0) {
-    buf.insert(buf.end(), chunk, chunk + in.gcount());
-  }
-  return buf;
+  const std::optional<std::string> bytes = support::read_file(path);
+  DIOG_CHECK(bytes.has_value(), "cannot open file: " + path);
+  return Bytes(bytes->begin(), bytes->end());
 }
 
 void write_file(const std::string& path, const Bytes& data) {

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
+#include <optional>
 #include <span>
 #include <sstream>
 
@@ -22,6 +22,7 @@
 #include "obs/telemetry.h"
 #include "parallel/thread_pool.h"
 #include "support/error.h"
+#include "support/input_file.h"
 
 namespace diog::testkit {
 
@@ -40,11 +41,9 @@ struct Checker {
 };
 
 std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  DIOG_CHECK(in.good(), "oracle cannot read back " + path);
-  std::ostringstream os;
-  os << in.rdbuf();
-  return os.str();
+  std::optional<std::string> bytes = support::read_file(path);
+  DIOG_CHECK(bytes.has_value(), "oracle cannot read back " + path);
+  return std::move(*bytes);
 }
 
 // Restores the programmatic thread override on every exit path, so an

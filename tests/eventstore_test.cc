@@ -688,19 +688,6 @@ TEST_F(RunIoTest, RoundTripAcrossSegmentBoundary) {
   expect_equal(run, back);
 }
 
-TEST_F(RunIoTest, MmapAndStreamReadersAgree) {
-  save_run(path_, sample_run());
-  const TraceRun streamed = open_run(path_, ReadMode::kStream);
-  TraceRun mapped;
-  try {
-    mapped = open_run(path_, ReadMode::kMmap);
-  } catch (const Error&) {
-    GTEST_SKIP() << "mmap unavailable on this platform";
-  }
-  expect_equal(streamed, mapped);
-  expect_equal(streamed, open_run(path_, ReadMode::kAuto));
-}
-
 TEST_F(RunIoTest, SaveCreatesMissingDirectories) {
   const std::string nested = dir_ + "/a/b/run.dgtrace";
   save_run(nested, sample_run(10));
@@ -763,9 +750,9 @@ void spit(const std::string& path, const std::vector<char>& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
-std::string error_of(const std::string& path, ReadMode mode) {
+std::string error_of(const std::string& path) {
   try {
-    (void)open_run(path, mode);
+    (void)open_run(path);
   } catch (const Error& e) {
     return e.what();
   }
@@ -780,10 +767,7 @@ TEST_F(RunIoTest, MissingFileThrows) {
 
 TEST_F(RunIoTest, TooSmallFileThrows) {
   spit(path_, {'D', 'I', 'O', 'G'});
-  for (const ReadMode m : {ReadMode::kAuto, ReadMode::kStream}) {
-    const std::string msg = error_of(path_, m);
-    EXPECT_NE(msg, "") << "short file must throw";
-  }
+  EXPECT_NE(error_of(path_), "") << "short file must throw";
 }
 
 TEST_F(RunIoTest, WrongMagicThrows) {
@@ -791,7 +775,7 @@ TEST_F(RunIoTest, WrongMagicThrows) {
   std::vector<char> bytes = slurp(path_);
   bytes[0] = 'X';
   spit(path_, bytes);
-  const std::string msg = error_of(path_, ReadMode::kAuto);
+  const std::string msg = error_of(path_);
   EXPECT_NE(msg.find("not a diogenes run file"), std::string::npos) << msg;
 }
 
@@ -800,7 +784,7 @@ TEST_F(RunIoTest, WrongVersionThrows) {
   std::vector<char> bytes = slurp(path_);
   bytes[8] = 99;  // version u32 little-endian low byte
   spit(path_, bytes);
-  const std::string msg = error_of(path_, ReadMode::kAuto);
+  const std::string msg = error_of(path_);
   EXPECT_NE(msg.find("unsupported run file version"), std::string::npos)
       << msg;
 }
@@ -811,9 +795,7 @@ TEST_F(RunIoTest, TruncatedHeaderThrows) {
   // A file shorter than the 16-byte header cannot even be identified;
   // that stays a hard error.
   spit(path_, std::vector<char>(bytes.begin(), bytes.begin() + 10));
-  for (const ReadMode m : {ReadMode::kAuto, ReadMode::kStream}) {
-    EXPECT_NE(error_of(path_, m), "");
-  }
+  EXPECT_NE(error_of(path_), "");
 }
 
 TEST_F(RunIoTest, TruncatedTailYieldsReadablePrefix) {
@@ -831,15 +813,13 @@ TEST_F(RunIoTest, TruncatedTailYieldsReadablePrefix) {
     spit(path_, std::vector<char>(bytes.begin(),
                                   bytes.begin() +
                                       static_cast<std::ptrdiff_t>(keep)));
-    for (const ReadMode m : {ReadMode::kAuto, ReadMode::kStream}) {
-      RunFileInfo info;
-      const TraceRun run = open_run(path_, m, &info);
-      EXPECT_FALSE(info.clean) << "keep=" << keep;
-      EXPECT_FALSE(info.finalized) << "keep=" << keep;
-      const std::uint64_t expect_events = keep >= chunk_end ? 200u : 0u;
-      EXPECT_EQ(run.store->size(), expect_events) << "keep=" << keep;
-      EXPECT_EQ(info.events, expect_events) << "keep=" << keep;
-    }
+    RunFileInfo info;
+    const TraceRun run = open_run(path_, ReadMode::kAuto, &info);
+    EXPECT_FALSE(info.clean) << "keep=" << keep;
+    EXPECT_FALSE(info.finalized) << "keep=" << keep;
+    const std::uint64_t expect_events = keep >= chunk_end ? 200u : 0u;
+    EXPECT_EQ(run.store->size(), expect_events) << "keep=" << keep;
+    EXPECT_EQ(info.events, expect_events) << "keep=" << keep;
   }
 }
 
@@ -850,7 +830,7 @@ TEST_F(RunIoTest, CorruptedPayloadFailsChecksum) {
   // tail: chunks are immutable once written, so this stays a hard error.
   bytes[bytes.size() / 2] ^= 0x5a;
   spit(path_, bytes);
-  const std::string msg = error_of(path_, ReadMode::kAuto);
+  const std::string msg = error_of(path_);
   EXPECT_NE(msg.find("checksum mismatch"), std::string::npos) << msg;
 }
 
@@ -1084,12 +1064,10 @@ TEST_F(RunIoTest, ChunkStraddlingASegmentReopensEqual) {
   EXPECT_EQ(follower.poll(), 0u);
   EXPECT_TRUE(follower.finalized());
   expect_equal(run, follower.run());
-  for (const ReadMode mode : {ReadMode::kStream, ReadMode::kMmap}) {
-    RunFileInfo info;
-    const TraceRun back = open_run(path_, mode, &info);
-    EXPECT_EQ(info.chunks, 4u);
-    expect_equal(run, back);
-  }
+  RunFileInfo info;
+  const TraceRun back = open_run(path_, ReadMode::kAuto, &info);
+  EXPECT_EQ(info.chunks, 4u);
+  expect_equal(run, back);
 }
 
 TEST_F(RunIoTest, FollowerToleratesMissingFile) {

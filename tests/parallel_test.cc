@@ -241,27 +241,25 @@ TEST_F(ParallelTest, ParallelOpenMatchesSerialOpen) {
   for (const std::size_t tc : {std::size_t{1}, std::size_t{2},
                                std::size_t{8}}) {
     par::set_threads(tc);
-    for (const evstore::ReadMode mode :
-         {evstore::ReadMode::kMmap, evstore::ReadMode::kStream}) {
-      evstore::RunFileInfo info;
-      const evstore::TraceRun reread = evstore::open_run(path, mode, &info);
-      EXPECT_TRUE(info.clean && info.finalized);
-      ASSERT_EQ(reread.store->size(), run.store->size());
-      const std::string stats = reread.store->stat_json().dump();
-      if (ref_stats.empty()) {
-        ref_stats = stats;
-      } else {
-        EXPECT_EQ(stats, ref_stats)
-            << "threads " << tc << " reopened to a different store";
-      }
-      // Spot-check row content survived the parallel column copy.
-      const evstore::Event last =
-          reread.store->event(reread.store->size() - 1);
-      const evstore::Event expect_last =
-          run.store->event(run.store->size() - 1);
-      EXPECT_EQ(last.t_start, expect_last.t_start);
-      EXPECT_EQ(last.value, expect_last.value);
+    evstore::RunFileInfo info;
+    const evstore::TraceRun reread =
+        evstore::open_run(path, evstore::ReadMode::kAuto, &info);
+    EXPECT_TRUE(info.clean && info.finalized);
+    ASSERT_EQ(reread.store->size(), run.store->size());
+    const std::string stats = reread.store->stat_json().dump();
+    if (ref_stats.empty()) {
+      ref_stats = stats;
+    } else {
+      EXPECT_EQ(stats, ref_stats)
+          << "threads " << tc << " reopened to a different store";
     }
+    // Spot-check row content survived the parallel column copy.
+    const evstore::Event last =
+        reread.store->event(reread.store->size() - 1);
+    const evstore::Event expect_last =
+        run.store->event(run.store->size() - 1);
+    EXPECT_EQ(last.t_start, expect_last.t_start);
+    EXPECT_EQ(last.value, expect_last.value);
   }
   fs::remove_all(dir);
 }

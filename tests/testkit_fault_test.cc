@@ -121,34 +121,12 @@ TEST_F(FaultTest, MmapFaultSurfacesAsError) {
   plan.add(spec("run_io.mmap", FaultAction::kFail));
   FaultScope scope(plan);
   try {
-    (void)evstore::open_run(path_, evstore::ReadMode::kMmap);
+    (void)evstore::open_run(path_);
     FAIL() << "injected mmap failure did not surface";
   } catch (const Error&) {
     // clean classified error — the contract
   }
   EXPECT_GE(plan.fires("run_io.mmap"), 1u);
-}
-
-TEST_F(FaultTest, ReadBufferAllocFaultSurfacesCleanly) {
-  write_file(path_, make_minimal_run(4));
-  {
-    FaultPlan plan(1);
-    plan.add(spec("run_io.read.alloc", FaultAction::kFail));
-    FaultScope scope(plan);
-    EXPECT_THROW((void)evstore::open_run(path_, evstore::ReadMode::kStream),
-                 Error);
-    EXPECT_GE(plan.fires("run_io.read.alloc"), 1u);
-  }
-  {
-    FaultPlan plan(1);
-    plan.add(spec("run_io.read.alloc", FaultAction::kBadAlloc));
-    FaultScope scope(plan);
-    EXPECT_THROW((void)evstore::open_run(path_, evstore::ReadMode::kStream),
-                 std::bad_alloc);
-  }
-  // And with no plan the same file loads fine.
-  EXPECT_EQ(evstore::open_run(path_, evstore::ReadMode::kStream).store->size(),
-            4u);
 }
 
 // --- live_writer sites -------------------------------------------------------
