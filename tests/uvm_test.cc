@@ -220,6 +220,17 @@ TEST(UvmAnalysisTest, RenderAndJson) {
   const std::string text = render_uvm(a);
   EXPECT_NE(text.find("THRASHING"), std::string::npos);
   EXPECT_NE(text.find("first CPU fault at"), std::string::npos);
+  // Ranges are named by first-migration order, never by heap address,
+  // and equal stalls keep that order.
+  EXPECT_NE(text.find("range #1 ("), std::string::npos);
+  EXPECT_EQ(text.find("0x"), std::string::npos);
+  for (std::size_t i = 1; i < a.ranges.size(); ++i) {
+    const UvmRangeReport& prev = a.ranges[i - 1];
+    const UvmRangeReport& cur = a.ranges[i];
+    EXPECT_TRUE(prev.avoidable_stall > cur.avoidable_stall ||
+                (prev.avoidable_stall == cur.avoidable_stall &&
+                 prev.ordinal < cur.ordinal));
+  }
   const json::Value v = a.to_json();
   EXPECT_GT(v.at("migration_count").as_int(), 0);
   EXPECT_GT(v.at("ranges").size(), 0u);
