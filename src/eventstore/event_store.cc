@@ -276,6 +276,18 @@ void EventStore::enforce_retention() {
   }
 }
 
+void EventStore::fold_row(SegmentStats& segment, SegmentStats& block,
+                          std::uint32_t kind, std::uint16_t api,
+                          std::uint32_t flags, std::int64_t t_start) {
+  for (SegmentStats* st : {&segment, &block}) {
+    st->kinds_mask |= 1u << kind;
+    st->flags_or |= flags;
+    if (api < 64) st->api_mask |= 1ull << api;
+    st->min_t = std::min(st->min_t, t_start);
+    st->max_t = std::max(st->max_t, t_start);
+  }
+}
+
 void EventStore::append(const Event& e) {
   DIOG_CHECK(e.kind < EventKind::kCount_, "bad event kind");
   const bool new_segment = size() % kSegmentRows == 0;
@@ -304,13 +316,8 @@ void EventStore::append(const Event& e) {
     note_segment_metrics();
   }
   if (size() % kBlockRows == 0) block_stats_.emplace_back();
-  for (SegmentStats* st : {&stats_.back(), &block_stats_.back()}) {
-    st->kinds_mask |= 1u << static_cast<std::uint32_t>(e.kind);
-    st->flags_or |= e.flags;
-    if (e.api < 64) st->api_mask |= 1ull << e.api;
-    st->min_t = std::min(st->min_t, e.t_start);
-    st->max_t = std::max(st->max_t, e.t_start);
-  }
+  fold_row(stats_.back(), block_stats_.back(),
+           static_cast<std::uint32_t>(e.kind), e.api, e.flags, e.t_start);
   per_kind_[static_cast<std::size_t>(e.kind)].fetch_add(
       1, std::memory_order_relaxed);
   size_.fetch_add(1, std::memory_order_release);
@@ -416,16 +423,8 @@ void EventStore::finish_bulk_load() {
                   std::to_string(api) + " at row " + std::to_string(i));
     }
     if (i % kSegmentRows == 0) note_segment_metrics();
-    const std::uint32_t flags = flags_.get(i);
-    const std::int64_t t = t_start_.get(i);
-    for (SegmentStats* dst :
-         {&stats_[i / kSegmentRows], &block_stats_[i / kBlockRows]}) {
-      dst->kinds_mask |= 1u << kind_raw;
-      dst->flags_or |= flags;
-      if (api < 64) dst->api_mask |= 1ull << api;
-      dst->min_t = std::min(dst->min_t, t);
-      dst->max_t = std::max(dst->max_t, t);
-    }
+    fold_row(stats_[i / kSegmentRows], block_stats_[i / kBlockRows],
+             kind_raw, api, flags_.get(i), t_start_.get(i));
     ++kinds[kind_raw];
   }
   for (std::size_t k = 0; k < kEventKindCount; ++k) {
