@@ -19,8 +19,8 @@
 //                                         CI perf bar: exit nonzero if
 //                                         the 8-thread full-extent
 //                                         bin_events (save) speedup
-//                                         over 1 thread falls
-//                                         below the floor. Only
+//                                         over 1 thread (row medians)
+//                                         falls below the floor. Only
 //                                         meaningful on multi-core
 //                                         hardware; the CI job gates on
 //                                         hardware_concurrency.
@@ -30,9 +30,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <new>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "eventstore/aggregate.h"
@@ -396,42 +398,64 @@ int run_sweep(const std::string& out_path, double min_scan_speedup,
 
   // Thread sweep over the same 1M-event run: full-extent bin_events,
   // filtered bin_events (with pushdown counters), save, open at 1/2/8
-  // threads.
+  // threads. Each row is the median of kSweepRounds samples taken in
+  // interleaved rounds (1, 2, 8 threads per round), so a slow minute on
+  // a shared machine lands on every thread count alike.
+  constexpr std::size_t kSweepRounds = 5;
+  const std::size_t thread_counts[] = {1, 2, 8};
+  std::vector<std::vector<ParallelResult>> samples(std::size(thread_counts));
   const std::size_t ambient = par::threads_override();
-  std::printf("%8s %12s %14s %10s %10s %10s\n", "threads", "bin/s",
-              "filt bin/s", "seg skip", "save ms", "open ms");
+  for (std::size_t round = 0; round < kSweepRounds; ++round) {
+    for (std::size_t t = 0; t < std::size(thread_counts); ++t) {
+      samples[t].push_back(bench_parallel(run, thread_counts[t]));
+    }
+  }
+  par::set_threads(ambient);
+
+  std::printf("%8s %12s %14s %10s %10s %10s  (median of %zu)\n", "threads",
+              "bin/s", "filt bin/s", "seg skip", "save ms", "open ms",
+              kSweepRounds);
   json::Array par_rows;
-  std::vector<ParallelResult> par_results;
-  for (const std::size_t tc : {std::size_t{1}, std::size_t{2},
-                               std::size_t{8}}) {
-    const ParallelResult p = bench_parallel(run, tc);
-    par_results.push_back(p);
-    std::printf("%8zu %12.3g %14.3g %10llu %10.1f %10.1f\n", p.threads,
-                events_per_s(n, p.bin_ms),
-                events_per_s(n, p.filtered_bin_ms),
-                static_cast<unsigned long long>(p.filtered_segments_skipped),
-                p.save_ms, p.open_ms);
+  std::vector<ParallelResult> medians;
+  for (const std::vector<ParallelResult>& rows : samples) {
+    ParallelResult p = rows.front();
     json::Object po;
     po["threads"] = static_cast<std::int64_t>(p.threads);
-    po["bin_ms"] = p.bin_ms;
+    po["samples"] = static_cast<std::int64_t>(rows.size());
+    for (const auto& [key, field] :
+         {std::pair{"bin_ms", &ParallelResult::bin_ms},
+          std::pair{"filtered_bin_ms", &ParallelResult::filtered_bin_ms},
+          std::pair{"save_ms", &ParallelResult::save_ms},
+          std::pair{"open_ms", &ParallelResult::open_ms}}) {
+      std::vector<double> v;
+      for (const ParallelResult& r : rows) v.push_back(r.*field);
+      std::sort(v.begin(), v.end());
+      p.*field = (v[(v.size() - 1) / 2] + v[v.size() / 2]) / 2;
+      po[key] = p.*field;
+      po[std::string(key) + "_min"] = v.front();
+      po[std::string(key) + "_max"] = v.back();
+    }
     po["bin_events_per_s"] = events_per_s(n, p.bin_ms);
-    po["filtered_bin_ms"] = p.filtered_bin_ms;
     po["filtered_matched"] = static_cast<std::int64_t>(p.matched);
     po["filtered_segments_skipped"] =
         static_cast<std::int64_t>(p.filtered_segments_skipped);
     po["filtered_blocks_skipped"] =
         static_cast<std::int64_t>(p.filtered_blocks_skipped);
-    po["save_ms"] = p.save_ms;
-    po["open_ms"] = p.open_ms;
     par_rows.emplace_back(std::move(po));
+    std::printf("%8zu %12.3g %14.3g %10llu %10.1f %10.1f\n", p.threads,
+                events_per_s(n, p.bin_ms),
+                events_per_s(n, p.filtered_bin_ms),
+                static_cast<unsigned long long>(p.filtered_segments_skipped),
+                p.save_ms, p.open_ms);
+    medians.push_back(p);
   }
-  par::set_threads(ambient);
 
-  // 8-thread speedup over the 1-thread row, for the CI perf bar. The
-  // filtered bin is too fast (pushdown skips nearly everything) to
-  // time stably, so the bar watches the full-extent bin and the save.
-  const ParallelResult& one = par_results.front();
-  const ParallelResult& eight = par_results.back();
+  // 8-thread speedup over the 1-thread row (medians), for the CI perf
+  // bar. The filtered bin is too fast (pushdown skips nearly
+  // everything) to time stably, so the bar watches the full-extent bin
+  // and the save.
+  const ParallelResult& one = medians.front();
+  const ParallelResult& eight = medians.back();
   const double bin_speedup =
       eight.bin_ms > 0 ? one.bin_ms / eight.bin_ms : 0.0;
   const double save_speedup =
